@@ -25,7 +25,7 @@ def _add_common(p):
     p.add_argument("--na-token", default="NA")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("JOINTFIT_THREADS", os.cpu_count() or 1)))
+                   default=int(os.environ.get("JOINTFIT_THREADS", 1)))
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--out", default=None, help="output path")
 

@@ -121,7 +121,6 @@ class LikelihoodEngine:
     def _make_chunk(self, cids, top):
         rows = np.concatenate([top.cluster_rows[c] for c in cids]) if len(cids) else np.arange(0)
         rows = np.sort(rows)
-        pos = {r: i for i, r in enumerate(rows)}
         chunk = {"cids": cids, "rows": rows, "sub_sel": self._sub_sel(rows)}
         # per-level local cluster ids for the reduction, lowest level last
         maps = []
@@ -141,7 +140,6 @@ class LikelihoodEngine:
                     seen[c] = True
             lo["parent"] = hi["row_local"][first_row]
         chunk["maps"] = maps
-        chunk["pos"] = pos
         return chunk
 
     # -- draws -------------------------------------------------------------

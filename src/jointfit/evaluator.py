@@ -15,12 +15,13 @@ from . import families
 from .basis import FpBasis, RcsBasis, rcs_knots
 from .data import Dataset, ResponseView, response_view
 from .formula import Element, ModelSpec, SpecError
-from .quadrature import gauss_legendre
+from .quadrature import integrate_to
 
 _LINK_BASE = {"EV": 0, "dEV": 1, "d2EV": 2, "iEV": -1,
               "XB": 0, "dXB": 1, "d2XB": 2, "iXB": -1}
 _ORDER_NUM = {"value": 0, "d1": 1, "d2": 2, "integral": -1}
 _NUM_ORDER = {0: "value", 1: "d1", 2: "d2", -1: "integral"}
+TIME_GL_POINTS = 30   # nodes of the cumulative-hazard and iEV time integrals
 
 
 class EvalError(ValueError):
@@ -65,20 +66,15 @@ class ParamLayout:
 
 
 class Evaluator:
-    def __init__(self, spec: ModelSpec, data: Dataset,
-                 bases: dict | None = None, iev_points: int = 30,
-                 chaz_points: int = 30):
+    def __init__(self, spec: ModelSpec, data: Dataset, bases: dict | None = None):
         if not spec.validated:
             raise SpecError("model spec must be validated before evaluation")
         self.spec = spec
         self.data = data
-        self.iev_points = iev_points
-        self.chaz_points = chaz_points
         self.bases: dict[tuple[int, int, int], object] = {}
         self.subs: list[SubInfo] = []
         self.layout = ParamLayout()
         self._cache: dict = {}
-        self._gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._el_key: dict[tuple[int, int, int], Element] = {}
         self._build(bases or {})
 
@@ -228,11 +224,6 @@ class Evaluator:
     def n_params(self) -> int:
         return self.layout.n_params
 
-    def _gl_rule(self, n):
-        if n not in self._gl_cache:
-            self._gl_cache[n] = np.polynomial.legendre.leggauss(n)
-        return self._gl_cache[n]
-
     def _basis_for(self, el: Element):
         for key, kel in self._el_key.items():
             if kel is el:
@@ -288,20 +279,9 @@ class Evaluator:
             if base == 0:
                 total = -1
             else:
-                return self._time_integral(
-                    lambda tt: raw(_NUM_ORDER[base], tt), t, self.iev_points)
+                return integrate_to(lambda tt: raw(_NUM_ORDER[base], tt), t,
+                                    TIME_GL_POINTS)
         return raw(_NUM_ORDER[total])
-
-    def _time_integral(self, fn, t, n_points):
-        """Gauss-Legendre integral of fn over (0, t], per row."""
-        x, w = self._gl_rule(n_points)
-        half = 0.5 * t
-        acc = None
-        for k in range(n_points):
-            u = half * (x[k] + 1.0)
-            val = fn(np.maximum(u, 1e-300)) * (w[k] * half)[:, None]
-            acc = val if acc is None else acc + val
-        return acc
 
     def eta(self, params, sub_idx, rows, t, draws, order="value", token=None):
         """Complex predictor (or its time derivative/integral): (n, nq)."""
@@ -350,7 +330,7 @@ class Evaluator:
                                                    "value", None)
                             out = fv if out is None else out * fv
                         return out
-                    v = base * self._time_integral(prod_val, t, self.iev_points)
+                    v = base * integrate_to(prod_val, t, TIME_GL_POINTS)
             acc = acc + coef * v
         return acc
 
@@ -395,9 +375,9 @@ class Evaluator:
         if fam not in families.HAS_MEAN:
             raise EvalError(f"expected value undefined for family {fam!r}")
         if order == "integral":
-            return self._time_integral(
+            return integrate_to(
                 lambda tt: self.expval(params, sub_idx, rows, tt, draws, "value"),
-                t, self.iev_points)
+                t, TIME_GL_POINTS)
         ev = self.eta(params, sub_idx, rows, t, draws, "value", token)
         if order == "value":
             return families.mean_value(fam, ev)
@@ -439,10 +419,10 @@ class Evaluator:
             ev = self.eta(params, sub_idx, rows, t, draws, "value", token)
             lam0 = families.baseline_cumhazard_factor(sub.family, t, ap)
             return np.exp(ev) * lam0[:, None]
-        return self._time_integral(
+        return integrate_to(
             lambda tt: self.hazard(params, sub_idx, rows, tt, draws,
                                    None if token is None else f"{token}|ch"),
-            t, self.chaz_points)
+            t, TIME_GL_POINTS)
 
     def survival(self, params, sub_idx, rows, t, draws, token=None):
         return np.exp(-self.cumhazard(params, sub_idx, rows, t, draws, token))

@@ -60,13 +60,6 @@ class Element:
             return bool(timevar) and self.var == timevar
         return False
 
-    def n_cols(self) -> int:
-        if self.kind == "rcs":
-            return self.df if self.df is not None else len(self.knots) - 1
-        if self.kind == "fp":
-            return len(self.powers)
-        return 1
-
     def __str__(self) -> str:
         if self.kind == "variable":
             return self.var
@@ -150,12 +143,6 @@ class ModelSpec:
     ip: tuple[int, ...] = ()
     re_layout: dict[str, list[str]] = field(default_factory=dict)  # level -> M# names
     validated: bool = False
-
-    def re_level(self, name: str) -> str:
-        for level, names in self.re_layout.items():
-            if name in names:
-                return level
-        raise SpecError(f"random effect {name!r} not declared at any level")
 
 
 def _split_top(text: str, sep: str) -> list[str]:

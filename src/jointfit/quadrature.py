@@ -7,12 +7,11 @@ every likelihood evaluation.  Time integrals use Gauss-Legendre rules.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
-
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
 @dataclass(frozen=True)
@@ -50,6 +49,30 @@ def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (x + 1.0), half * w
 
 
+@lru_cache(maxsize=None)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return x, w
+
+
+def integrate_to(fn, t, n: int) -> np.ndarray:
+    """n-point Gauss-Legendre integral of fn over (0, t], per row.
+
+    fn maps an (n_rows,) array of times to an (n_rows, k) array.  Nodes are
+    clamped to at least 1e-300, so fn may take logs of time, and the node
+    terms are summed in node order.
+    """
+    x, w = _legendre(n)
+    half = 0.5 * np.asarray(t, dtype=float)
+    acc = None
+    for k in range(n):
+        u = np.maximum(half * (x[k] + 1.0), 1e-300)
+        val = fn(u) * (w[k] * half)[:, None]
+        acc = val if acc is None else acc + val
+    return acc
+
+
 def gh_product_rule(n: int, r: int) -> NodeSet:
     """Tensor-product Gauss-Hermite rule in r dimensions (n^r points)."""
     z, w = gauss_hermite(n)
@@ -62,40 +85,22 @@ def gh_product_rule(n: int, r: int) -> NodeSet:
     return NodeSet(nodes, weights, "ghermite", n)
 
 
-def _halton(n: int, r: int) -> np.ndarray:
-    """Unscrambled Halton points in (0,1)^r, starting at index 1 to avoid 0."""
-    if r > len(_PRIMES):
-        raise ValueError(f"Halton supported up to dimension {len(_PRIMES)}")
-    out = np.empty((n, r))
-    for j in range(r):
-        base = _PRIMES[j]
-        for i in range(n):
-            f, x, k = 1.0, 0.0, i + 1
-            while k > 0:
-                f /= base
-                x += f * (k % base)
-                k //= base
-            out[i, j] = x
-    return out
-
-
 def qmc_nodes(method: str, n: int, r: int, seed: int = 0) -> NodeSet:
     """Quasi- or pseudo-random normal node set with uniform weights 1/n.
 
     Uniform points on (0,1)^r are mapped through the standard-normal
-    inverse CDF.  Halton uses the first r primes as bases; Sobol uses the
-    Joe-Kuo direction numbers shipped with scipy; mc draws from a seeded
-    generator, so equal seeds give bitwise-identical node sets.
+    inverse CDF.  Halton (first r primes as bases) and Sobol (Joe-Kuo
+    direction numbers) are scipy's unscrambled sequences without their
+    all-zeros first point; mc draws from a seeded generator, so equal seeds
+    give bitwise-identical node sets.
     """
     if n < 2:
         raise ValueError("QMC/MC integration needs at least 2 points")
     if r < 1:
         raise ValueError("dimension must be >= 1")
-    if method == "halton":
-        u = _halton(n, r)
-    elif method == "sobol":
-        sob = qmc.Sobol(d=r, scramble=False)
-        u = sob.random(n + 1)[1:]  # drop the all-zeros first point
+    if method in ("halton", "sobol"):
+        engine = qmc.Halton if method == "halton" else qmc.Sobol
+        u = engine(d=r, scramble=False).random(n + 1)[1:]
     elif method == "mc":
         rng = np.random.default_rng(seed)
         u = rng.random((n, r))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import jointfit as jf
+from jointfit.estimation import FitResult
 from jointfit.evaluator import EvalError
 from jointfit.prediction import FittedModel, PredictRequest, predict_stat
 
@@ -44,6 +45,13 @@ def cr_model():
     fit = fit_spec(
         "exponential : Surv(t, d1) ~ x\nexponential : Surv(t, d2) ~ x\n", d)
     return FittedModel(fit, d)
+
+
+def fixed_model(spec_text, labels, estimates, columns):
+    """A model at given parameter values, without a fit."""
+    fit = FitResult(np.asarray(estimates, dtype=float), labels, None, 0.0, 0, True,
+                    spec_text, (), (), 0)
+    return FittedModel(fit, make_dataset(columns))
 
 
 class TestBasicStats:
@@ -150,6 +158,31 @@ class TestRmst:
                       at={"x": 0.0})
         want = quad(lambda u: np.exp(-(l1 + l2) * u), 0, t)[0]
         assert abs(res["values"][0] - want) < 1e-6
+
+    def test_weibull_vs_quad_of_survival(self):
+        from scipy.integrate import quad
+        lam, gamma = 0.2, 1.1
+        t = np.asarray([0.5, 1.0, 2.0, 4.0, 8.0])
+        model = fixed_model("weibull : Surv(t, d) ~ x", ["x", "_cons", "log(gamma)"],
+                            [0.5, np.log(lam), np.log(gamma)],
+                            {"t": t, "d": np.ones(5), "x": np.zeros(5)})
+        res = predict(model, statistic="rmst", times=t)
+        for tk, got in zip(t, res["values"]):
+            want = quad(lambda u: np.exp(-lam * u**gamma), 0.0, tk,
+                        epsabs=1e-13, epsrel=1e-12)[0]
+            assert abs(got - want) < 1e-7
+
+    def test_totaltimelost_is_sum_of_timelost(self):
+        t = np.asarray([0.5, 1.0, 2.0, 6.0])
+        model = fixed_model(  # two Weibull causes, gamma 1.3 and 1.1
+            "weibull : Surv(t, d1) ~ x\nweibull : Surv(t, d2) ~ x\n",
+            ["x", "_cons", "log(gamma)", "x", "_cons", "log(gamma)"],
+            [0.5, np.log(0.08), np.log(1.3), -0.3, np.log(0.05), np.log(1.1)],
+            {"t": t, "d1": np.ones(4), "d2": np.zeros(4), "x": np.ones(4)})
+        ttl = predict(model, statistic="totaltimelost", times=t)
+        tl = sum(predict(model, statistic="timelost", predmodel=c,
+                         times=t)["values"] for c in (1, 2))
+        assert np.max(np.abs(ttl["values"] - tl) / tl) < 1e-5
 
     def test_small_t_limits(self, cr_model):
         t = np.asarray([1e-6])

@@ -5,8 +5,8 @@ import pytest
 from scipy.special import ndtri
 
 from jointfit.quadrature import (CovarianceParam, gauss_hermite,
-                                 gauss_legendre, gh_product_rule, level_nodes,
-                                 qmc_nodes, transform_nodes)
+                                 gauss_legendre, gh_product_rule, integrate_to,
+                                 level_nodes, qmc_nodes, transform_nodes)
 
 
 def normal_moment(k: int) -> float:
@@ -96,6 +96,40 @@ class TestGaussLegendre:
             gauss_legendre(3, 1.0, 1.0)
 
 
+class TestIntegrateTo:
+    def test_polynomial_exact_per_row(self):
+        t = np.asarray([0.5, 2.0, 3.0])
+        got = integrate_to(lambda u: np.column_stack([u**5, 2.0 * u]), t, 3)
+        assert got.shape == (3, 2)
+        assert np.allclose(got[:, 0], t**6 / 6.0, rtol=1e-13)
+        assert np.allclose(got[:, 1], t**2, rtol=1e-13)
+
+    def test_nodes_clamped_above_zero(self):
+        nodes = []
+
+        def fn(u):
+            nodes.append(u)
+            return u[:, None]
+
+        integrate_to(fn, np.zeros(2), 4)
+        assert np.all(np.asarray(nodes) == 1e-300)
+
+
+def radical_inverse_halton(n, r):
+    """Halton points 1..n in the first r prime bases, by digit reversal."""
+    primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))][:r]
+    out = np.empty((n, r))
+    for j, base in enumerate(primes):
+        for i in range(n):
+            f, x, k = 1.0, 0.0, i + 1
+            while k > 0:
+                f /= base
+                x += f * (k % base)
+                k //= base
+            out[i, j] = x
+    return out
+
+
 class TestQmc:
     def test_halton_first_points(self):
         # reconstruct the uniforms via the normal CDF to check the radical
@@ -105,6 +139,11 @@ class TestQmc:
         u = ndtr(ns.nodes)
         assert np.allclose(u[0], [0.5, 1.0 / 3.0])
         assert np.allclose(u[1], [0.25, 2.0 / 3.0])
+
+    def test_halton_matches_radical_inverse(self):
+        for n, r in ((2, 2), (64, 1), (100, 3), (1000, 5), (500, 18)):
+            ns = qmc_nodes("halton", n, r)
+            assert np.array_equal(ns.nodes, ndtri(radical_inverse_halton(n, r)))
 
     def test_median_maps_to_zero(self):
         assert ndtri(0.5) == 0.0
