@@ -235,11 +235,11 @@ class Evaluator:
         if el.kind == "link":
             return self._link_eval(params, el, rows, t, draws, order, token)
         # the evaluation times must be part of the key: one token can cover
-        # several quadrature nodes along the time axis
-        ckey = (id(el), bi, order, token,
-                None if t is None else t.tobytes())
-        if token is not None and ckey in self._cache:
-            return self._cache[ckey]
+        # several blocks of quadrature nodes along the time axis
+        if token is not None:
+            ckey = (id(el), bi, order, token, None if t is None else t.tobytes())
+            if ckey in self._cache:
+                return self._cache[ckey]
         if el.kind == "variable":
             if order == "value":
                 out = t
@@ -262,10 +262,10 @@ class Evaluator:
         is_ev = el.link_kind.endswith("EV")
         target = el.target_index
 
-        def raw(ordname, tt=t):
+        def raw(ordname, rr=rows, tt=t):
             if is_ev:
-                return self.expval(params, target, rows, tt, draws, ordname, token=None)
-            return self.eta(params, target, rows, tt, draws, ordname, token=None)
+                return self.expval(params, target, rr, tt, draws, ordname, token=None)
+            return self.eta(params, target, rr, tt, draws, ordname, token=None)
 
         if req == 0:
             total = base
@@ -279,8 +279,8 @@ class Evaluator:
             if base == 0:
                 total = -1
             else:
-                return integrate_to(lambda tt: raw(_NUM_ORDER[base], tt), t,
-                                    TIME_GL_POINTS)
+                return integrate_to(lambda rr, tt: raw(_NUM_ORDER[base], rr, tt),
+                                    rows, t, TIME_GL_POINTS)
         return raw(_NUM_ORDER[total])
 
     def eta(self, params, sub_idx, rows, t, draws, order="value", token=None):
@@ -323,14 +323,14 @@ class Evaluator:
                     v = base * self._factor_eval(params, el, bi, rows, t, draws,
                                                  "integral", token)
                 else:
-                    def prod_val(tt):
+                    def prod_val(rr, tt):
                         out = None
                         for el, bi in tf:
-                            fv = self._factor_eval(params, el, bi, rows, tt, draws,
+                            fv = self._factor_eval(params, el, bi, rr, tt, draws,
                                                    "value", None)
                             out = fv if out is None else out * fv
                         return out
-                    v = base * integrate_to(prod_val, t, TIME_GL_POINTS)
+                    v = base * integrate_to(prod_val, rows, t, TIME_GL_POINTS)
             acc = acc + coef * v
         return acc
 
@@ -376,8 +376,8 @@ class Evaluator:
             raise EvalError(f"expected value undefined for family {fam!r}")
         if order == "integral":
             return integrate_to(
-                lambda tt: self.expval(params, sub_idx, rows, tt, draws, "value"),
-                t, TIME_GL_POINTS)
+                lambda rr, tt: self.expval(params, sub_idx, rr, tt, draws, "value"),
+                rows, t, TIME_GL_POINTS)
         ev = self.eta(params, sub_idx, rows, t, draws, "value", token)
         if order == "value":
             return families.mean_value(fam, ev)
@@ -420,9 +420,9 @@ class Evaluator:
             lam0 = families.baseline_cumhazard_factor(sub.family, t, ap)
             return np.exp(ev) * lam0[:, None]
         return integrate_to(
-            lambda tt: self.hazard(params, sub_idx, rows, tt, draws,
-                                   None if token is None else f"{token}|ch"),
-            t, TIME_GL_POINTS)
+            lambda rr, tt: self.hazard(params, sub_idx, rr, tt, draws,
+                                       None if token is None else f"{token}|ch"),
+            rows, t, TIME_GL_POINTS)
 
     def survival(self, params, sub_idx, rows, t, draws, token=None):
         return np.exp(-self.cumhazard(params, sub_idx, rows, t, draws, token))

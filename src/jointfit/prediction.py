@@ -101,22 +101,23 @@ def _total_cumhazard(model: FittedModel, rows, u, draws, causes) -> np.ndarray:
 def cif(model: FittedModel, cause: int, rows, t, draws, causes) -> np.ndarray:
     """Cause-specific cumulative incidence over (0, t], (n, nq)."""
     return integrate_to(
-        lambda u: model.ev.hazard(model.params, cause, rows, u, draws)
-        * np.exp(-_total_cumhazard(model, rows, u, draws, causes)),
-        t, CIF_GL_POINTS)
+        lambda r, u: model.ev.hazard(model.params, cause, r, u, draws)
+        * np.exp(-_total_cumhazard(model, r, u, draws, causes)),
+        rows, t, CIF_GL_POINTS)
 
 
 def timelost(model: FittedModel, cause: int, rows, t, draws, causes) -> np.ndarray:
     """Integral of the cause's CIF over (0, t] by nested quadrature."""
-    return integrate_to(lambda u: cif(model, cause, rows, u, draws, causes), t, CIF_GL_POINTS)
+    return integrate_to(lambda r, u: cif(model, cause, r, u, draws, causes),
+                        rows, t, CIF_GL_POINTS)
 
 
 def totaltimelost(model: FittedModel, rows, t, draws, causes) -> np.ndarray:
     """Integral of 1 - S over (0, t], S the survival from all causes: the
     sum of the causes' timelost in one integral instead of nested ones."""
     return integrate_to(
-        lambda u: -np.expm1(-_total_cumhazard(model, rows, u, draws, causes)),
-        t, CIF_GL_POINTS)
+        lambda r, u: -np.expm1(-_total_cumhazard(model, r, u, draws, causes)),
+        rows, t, CIF_GL_POINTS)
 
 
 def _stat_matrix(model: FittedModel, req: PredictRequest, rows, t, draws) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from jointfit import quadrature
 from jointfit.quadrature import (CovarianceParam, gauss_hermite,
                                  gauss_legendre, gh_product_rule, integrate_to,
                                  level_nodes, qmc_nodes, transform_nodes)
@@ -99,7 +100,8 @@ class TestGaussLegendre:
 class TestIntegrateTo:
     def test_polynomial_exact_per_row(self):
         t = np.asarray([0.5, 2.0, 3.0])
-        got = integrate_to(lambda u: np.column_stack([u**5, 2.0 * u]), t, 3)
+        got = integrate_to(lambda r, u: np.column_stack([u**5, 2.0 * u]),
+                           np.arange(3), t, 3)
         assert got.shape == (3, 2)
         assert np.allclose(got[:, 0], t**6 / 6.0, rtol=1e-13)
         assert np.allclose(got[:, 1], t**2, rtol=1e-13)
@@ -107,12 +109,53 @@ class TestIntegrateTo:
     def test_nodes_clamped_above_zero(self):
         nodes = []
 
-        def fn(u):
+        def fn(r, u):
             nodes.append(u)
             return u[:, None]
 
-        integrate_to(fn, np.zeros(2), 4)
-        assert np.all(np.asarray(nodes) == 1e-300)
+        integrate_to(fn, np.arange(2), np.zeros(2), 4)
+        assert np.all(np.concatenate(nodes) == 1e-300)
+
+    def test_nodes_stacked_node_major_with_tiled_rows(self):
+        rows, t, n = np.asarray([5, 7]), np.asarray([1.0, 2.0]), 4
+        calls = []
+
+        def fn(r, u):
+            calls.append((r, u))
+            return np.column_stack([u, r])
+
+        got = integrate_to(fn, rows, t, n)
+        # one node first to learn the width, then the rest in one block
+        assert [len(u) for _, u in calls] == [2, 6]
+        x, _ = np.polynomial.legendre.leggauss(n)
+        want_u = np.concatenate([0.5 * t * (xk + 1.0) for xk in x])
+        assert np.array_equal(np.concatenate([r for r, _ in calls]), np.tile(rows, n))
+        assert np.array_equal(np.concatenate([u for _, u in calls]), want_u)
+        assert np.allclose(got[:, 0], t**2 / 2.0, rtol=1e-13)
+        assert np.allclose(got[:, 1], rows * t, rtol=1e-13)
+
+    def test_budget_sets_block_size(self, monkeypatch):
+        # 3 rows x width 2 = 6 output values per node; 13 values hold 2 nodes
+        monkeypatch.setattr(quadrature, "TIME_BLOCK_DOUBLES", 13)
+        sizes = []
+
+        def fn(r, u):
+            sizes.append(len(u) // 3)
+            return np.column_stack([u, u**2])
+
+        integrate_to(fn, np.arange(3), np.ones(3), 7)
+        assert sizes == [1, 2, 2, 2]
+
+    def test_empty_rows(self):
+        calls = []
+
+        def fn(r, u):
+            calls.append(len(u))
+            return np.zeros((len(r), 3))
+
+        got = integrate_to(fn, np.arange(0), np.zeros(0), 5)
+        assert got.shape == (0, 3)
+        assert calls == [0, 0]
 
 
 def radical_inverse_halton(n, r):
