@@ -11,12 +11,13 @@ import sys
 
 import numpy as np
 
+from . import families
 from .data import DataError, build_levels, load_table
 from .estimation import (ConvergenceError, FitControls, fit_from_json,
                          fit_to_json, maximize, summary_table)
 from .evaluator import EvalError, Evaluator
-from .formula import (ModelSpec, ParseError, SpecError, parse_model,
-                      parse_spec_text, validate_spec)
+from .formula import (ModelSpec, ParseError, SpecError, parse_component,
+                      parse_model, parse_spec_text, validate_spec)
 from .prediction import FittedModel, PredictRequest, predict_stat
 
 
@@ -135,14 +136,10 @@ def expand_mlsurv(formula: str, distribution: str) -> ModelSpec:
         raise ParseError(f"unknown distribution {distribution!r}")
     family = "rp" if distribution == "logchazard" else distribution
     sub = parse_model(formula, family)
-    timevar = None
-    if family in ("rp", "loghazard"):
-        timevar = sub.response[0]
-        baseline = parse_model(
-            f"{formula.split('~')[0].strip().replace(' ', '')} ~ "
-            f"rcs({timevar}, df = 3, log = TRUE, event = TRUE)", family).components
-        sub = parse_model(formula, family, timevar=timevar)
-        sub.components.extend(baseline)
+    if families.FAMILIES[family].baseline_in_eta:
+        sub.timevar = sub.response[0]
+        sub.components.append(
+            parse_component(f"rcs({sub.timevar}, df = 3, log = TRUE, event = TRUE)"))
     return ModelSpec([sub])
 
 

@@ -247,45 +247,27 @@ def start_values(engine: LikelihoodEngine) -> np.ndarray:
     ev = engine.ev
     theta = np.zeros(ev.n_params())
     for i, sub in enumerate(engine.spec.submodels):
+        fam = families.FAMILIES[sub.family]
         info = ev.subs[i]
         y = info.rv.values
-        cons_idx = None
-        for col in info.columns:
-            if col.label == "_cons" and col.param is not None:
-                cons_idx = col.param
-        if sub.is_survival or (sub.family == "user" and info.rv.kind == "time-event"):
-            t, d = y[:, 0], y[:, 1]
-            rate = max(d.sum(), 0.5) / t.sum()
-            if cons_idx is not None:
-                theta[cons_idx] = np.log(rate)
-            if sub.family == "rp":
-                _rp_start(ev, engine.spec, i, theta, cons_idx)
-        elif sub.family != "null" and len(y):
-            m = float(np.mean(y))
-            if sub.family == "gaussian" or sub.family == "user":
-                v = m
-            elif sub.family in ("bernoulli", "beta"):
-                p = min(max(m, 1e-3), 1 - 1e-3)
-                v = np.log(p / (1 - p))
-            else:
-                v = np.log(max(m, 1e-3))
-            if cons_idx is not None:
-                theta[cons_idx] = v
-            if sub.family == "gaussian" and len(info.ap_idx):
-                sd = float(np.std(y))
-                theta[info.ap_idx[0]] = np.log(max(sd, 1e-3))
+        if fam.start is None or not len(y):
+            continue
+        cons_idx = info.columns[-1].param if sub.intercept else None  # _cons is last
+        intercept, ancillary = fam.start(y)
+        if cons_idx is not None:
+            theta[cons_idx] = intercept
+        for k, v in zip(info.ap_idx, ancillary):
+            theta[k] = v
+        if fam.survival and fam.log_hazard is None:  # rp: eta is log H
+            _rp_start(ev, sub, info, theta, cons_idx, intercept)
     return theta
 
 
-def _rp_start(ev, spec, i, theta, cons_idx):
+def _rp_start(ev, sub, info, theta, cons_idx, log_rate):
     """Initialize the log-time baseline of an rp model so that
     log H(t) ~ log(rate * t), keeping eta'(t) > 0 at the start."""
-    sub = spec.submodels[i]
-    info = ev.subs[i]
-    y = info.rv.values
-    t, d = y[:, 0], y[:, 1]
-    rate = max(d.sum(), 0.5) / t.sum()
-    target = np.log(rate) + np.log(t)
+    t = info.rv.values[:, 0]
+    target = log_rate + np.log(t)
     cols, idxs = [], []
     for col in info.columns:
         if (col.param is not None and len(col.factors) == 1

@@ -16,6 +16,7 @@ from .basis import FpBasis, RcsBasis, rcs_knots
 from .data import Dataset, ResponseView, response_view
 from .formula import Element, ModelSpec, SpecError
 from .quadrature import integrate_to
+from .userfam import UserFamilyContext, get_user_family
 
 _LINK_BASE = {"EV": 0, "dEV": 1, "d2EV": 2, "iEV": -1,
               "XB": 0, "dXB": 1, "d2XB": 2, "iXB": -1}
@@ -104,9 +105,8 @@ class Evaluator:
             for col in info.columns:
                 if not col.constrained:
                     col.param = self.layout.add(col.label)
-            ap_labels = list(families.ANCILLARY[sub.family])
-            if sub.family == "user":
-                ap_labels = [f"_ap{k + 1}" for k in range(sub.user_ap)]
+            ap_labels = list(families.FAMILIES[sub.family].ancillary)
+            ap_labels += [f"_ap{k + 1}" for k in range(sub.user_ap)]
             info.ap_idx = [self.layout.add(lbl) for lbl in ap_labels]
         # ... then per-level covariance parameters
         for level in spec.levels:
@@ -372,7 +372,7 @@ class Evaluator:
     def expval(self, params, sub_idx, rows, t, draws, order="value", token=None):
         """Expected response of a submodel and its time derivatives/integral."""
         fam = self.spec.submodels[sub_idx].family
-        if fam not in families.HAS_MEAN:
+        if families.FAMILIES[fam].link is None:
             raise EvalError(f"expected value undefined for family {fam!r}")
         if order == "integral":
             return integrate_to(
@@ -400,7 +400,7 @@ class Evaluator:
             raise EvalError(f"hazard undefined for family {sub.family!r}")
         ap = self._ap(params, sub_idx)
         ev = self.eta(params, sub_idx, rows, t, draws, "value", token)
-        if sub.family == "rp":
+        if families.FAMILIES[sub.family].log_hazard is None:  # rp: eta is log H
             d1 = self.eta(params, sub_idx, rows, t, draws, "d1", token)
             return d1 * np.exp(ev)
         off = families.log_hazard_offset(sub.family, t, ap)
@@ -411,11 +411,11 @@ class Evaluator:
         if not sub.is_survival:
             raise EvalError(f"cumulative hazard undefined for family {sub.family!r}")
         ap = self._ap(params, sub_idx)
-        if sub.family == "rp":
+        fam = families.FAMILIES[sub.family]
+        if fam.log_hazard is None:  # rp: eta is log H
             ev = self.eta(params, sub_idx, rows, t, draws, "value", token)
             return np.exp(ev)
-        info = self.subs[sub_idx]
-        if sub.family != "loghazard" and not info.has_time:
+        if fam.cumhazard is not None and not self.subs[sub_idx].has_time:
             ev = self.eta(params, sub_idx, rows, t, draws, "value", token)
             lam0 = families.baseline_cumhazard_factor(sub.family, t, ap)
             return np.exp(ev) * lam0[:, None]
@@ -444,19 +444,14 @@ class Evaluator:
         if obs_sel is not None:
             rows = rows[obs_sel]
             y = y[obs_sel]
-        if sub.family == "null":
-            nq = len(next(iter(draws.values()))) if draws else 1
-            return np.zeros((len(rows), nq))
-        if sub.family == "user":
-            from .userfam import get_user_family, UserFamilyContext
-            fn = get_user_family(sub.userf)
+        fam = families.FAMILIES[sub.family]
+        if not fam.survival:
             tv = self.data.column(sub.timevar)[rows] if sub.timevar else None
-            ctx = UserFamilyContext(self, params, sub_idx, rows, tv, draws, y)
-            out = np.asarray(fn(ctx))
-            nq = len(next(iter(draws.values()))) if draws else 1
-            return np.broadcast_to(out, (len(rows), nq)).copy()
-        if not sub.is_survival:
-            tv = self.data.column(sub.timevar)[rows] if sub.timevar else None
+            if fam.user:
+                ctx = UserFamilyContext(self, params, sub_idx, rows, tv, draws, y)
+                out = np.asarray(get_user_family(sub.userf)(ctx))
+                nq = len(next(iter(draws.values()))) if draws else 1
+                return np.broadcast_to(out, (len(rows), nq)).copy()
             ev = self.eta(params, sub_idx, rows, tv, draws, "value", token)
             out = families.scalar_loglik(sub.family, y, ev, self._ap(params, sub_idx))
             return np.where(np.isnan(out), -np.inf, out)
@@ -470,7 +465,7 @@ class Evaluator:
             erows = rows[ev_idx]
             et = t[ev_idx]
             etok = None if token is None else f"{token}|ev"
-            if sub.family == "rp":
+            if fam.log_hazard is None:  # rp
                 ev = self.eta(params, sub_idx, erows, et, draws, "value", etok)
                 d1 = self.eta(params, sub_idx, erows, et, draws, "d1", etok)
                 with np.errstate(divide="ignore", invalid="ignore"):

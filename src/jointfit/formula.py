@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import families
+
 
 class ParseError(ValueError):
     pass
@@ -20,15 +22,6 @@ class ParseError(ValueError):
 class SpecError(ValueError):
     pass
 
-
-LINK_KINDS = ("EV", "dEV", "d2EV", "iEV", "XB", "dXB", "d2XB", "iXB")
-
-FAMILIES = (
-    "gaussian", "bernoulli", "poisson", "beta", "negbinomial",
-    "exponential", "weibull", "gompertz", "rp", "loghazard",
-    "user", "null",
-)
-SURVIVAL_FAMILIES = ("exponential", "weibull", "gompertz", "rp", "loghazard")
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_.]*"
 _RE_VARNAME = re.compile(rf"^{_NAME}$")
@@ -41,7 +34,7 @@ class Element:
     kind: str                       # variable | rcs | fp | re | link | bhazard | exposure | ap | cons
     var: str = ""                   # variable / column name, or M# name for re
     level: str = ""                 # re only
-    link_kind: str = ""             # link only: one of LINK_KINDS
+    link_kind: str = ""             # link only: EV/XB, dEV/dXB, d2EV/d2XB or iEV/iXB
     target: str = ""                # link only: response name or submodel index string
     target_index: int = -1          # resolved during validation (0-based)
     df: int | None = None           # rcs
@@ -115,7 +108,7 @@ class Submodel:
 
     @property
     def is_survival(self) -> bool:
-        return self.family in SURVIVAL_FAMILIES
+        return families.FAMILIES[self.family].survival
 
     @property
     def response_name(self) -> str:
@@ -293,8 +286,9 @@ def parse_model(
     noconstant: bool = False,
 ) -> Submodel:
     """Parse one submodel formula `response ~ component + component + ...`."""
-    if family not in FAMILIES:
+    if family not in families.FAMILIES:
         raise ParseError(f"unknown family {family!r}")
+    fam = families.FAMILIES[family]
     sides = _split_top(text, "~")
     if len(sides) != 2:
         raise ParseError(f"formula must contain exactly one '~': {text!r}")
@@ -310,21 +304,22 @@ def parse_model(
     for part in _split_top(sides[1], "+"):
         comp = parse_component(part)
         # bhazard/exposure/ap are submodel-level specials, not coefficients
-        if len(comp.elements) == 1 and comp.elements[0].kind == "bhazard":
-            sub.bhazard_var = comp.elements[0].var
-            continue
-        if len(comp.elements) == 1 and comp.elements[0].kind == "ap":
-            sub.user_ap += comp.elements[0].ap_count
-            continue
-        if len(comp.elements) == 1 and comp.elements[0].kind == "exposure":
-            comp = Component([Element("variable", var=comp.elements[0].var)], constrained=True)
-            comp.elements[0].kind = "exposure_log"
+        el = comp.elements[0]
+        special = el.kind if len(comp.elements) == 1 else None
+        if special == "bhazard":
+            sub.bhazard_var = el.var
+        elif special == "ap":
+            if not fam.user:
+                raise ParseError(f"ap() is for user families only, not {family!r}")
+            sub.user_ap += el.ap_count
+        elif special == "exposure":
+            sub.components.append(
+                Component([Element("exposure_log", var=el.var)], constrained=True))
+        else:
             sub.components.append(comp)
-            continue
-        sub.components.append(comp)
     if sub.is_survival and not isinstance(sub.response, tuple):
         raise ParseError(f"family {family!r} requires a Surv(time, status) response")
-    if family == "user" and not userf:
+    if fam.user and not userf:
         raise ParseError("family 'user' requires a userf name")
     return sub
 
@@ -365,7 +360,10 @@ def validate_spec(spec, dataset) -> ModelSpec:
                         re_first_seen.append(el.var)
                 if el.kind == "link" or el.is_time_function(sub.timevar or ""):
                     needs_timevar = True
-        if needs_timevar and sub.family in ("rp", "loghazard") and sub.timevar is None:
+        # rp/loghazard carry their baseline in eta; a scalar kernel reads eta at timevar
+        fam = families.FAMILIES[sub.family]
+        if (needs_timevar and sub.timevar is None
+                and (fam.baseline_in_eta or fam.loglik is not None)):
             raise SpecError(f"family {sub.family!r} with time-dependent components needs timevar")
 
     # resolve link targets and reject reference cycles
@@ -389,6 +387,10 @@ def validate_spec(spec, dataset) -> ModelSpec:
                     if len(matches) > 1:
                         raise SpecError(f"link target {el.target!r} is ambiguous")
                     idx = matches[0]
+                target = spec.submodels[idx].family
+                if el.link_kind.endswith("EV") and families.FAMILIES[target].link is None:
+                    raise SpecError(f"{el.link_kind}[{el.target}] needs a family "
+                                    f"with a mean, not {target!r}")
                 el.target_index = idx
                 edges[i].add(idx)
     state = {}

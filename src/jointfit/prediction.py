@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import families
 from .data import Dataset, build_levels
 from .estimation import FitResult, LikelihoodEngine, deserialize_bases
 from .evaluator import EvalError, Evaluator
@@ -19,8 +20,6 @@ from .quadrature import integrate_to
 
 CIF_GL_POINTS = 50
 
-SURVIVAL_STATS = ("hazard", "chazard", "logchazard", "survival",
-                  "cif", "rmst", "timelost", "totaltimelost")
 DIFF_STATS = {"cifdifference": "cif", "hdifference": "hazard",
               "rmstdifference": "rmst", "mudifference": "mu",
               "etadifference": "eta"}
@@ -133,9 +132,8 @@ def _stat_matrix(model: FittedModel, req: PredictRequest, rows, t, draws) -> np.
     if stat == "eta":
         return model.ev.eta(p, m, rows, t, draws, "value")
     if stat == "mu":
-        if sub.is_survival:
-            raise EvalError("mu is undefined for survival families")
-        from . import families
+        if families.FAMILIES[sub.family].link is None:
+            raise EvalError(f"mu is undefined for family {sub.family!r}")
         return families.mean_value(sub.family, model.ev.eta(p, m, rows, t, draws, "value"))
     if stat == "hazard":
         return model.ev.hazard(p, m, rows, t, draws)

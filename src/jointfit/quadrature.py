@@ -180,10 +180,6 @@ class CovarianceParam:
             Lc = np.linalg.cholesky(C + 1e-10 * np.eye(d))
         return D @ Lc
 
-    def n_corr(self) -> int:
-        d = self.dim
-        return d * (d - 1) // 2 if self.structure == "unstructured" else 0
-
 
 def transform_nodes(ns: NodeSet, cov: CovarianceParam) -> np.ndarray:
     """Scale standard-normal nodes into random-effect draws b = z L'."""

@@ -70,10 +70,6 @@ class UserFamilyContext:
         return self._ev.eta(self._params, m, self._rows, self._times(t),
                             self._draws, order)
 
-    def _expval(self, m, t, order):
-        return self._ev.expval(self._params, m, self._rows, self._times(t),
-                               self._draws, order)
-
     def xzb(self, t=None):
         return self._xzb(self._sub, t, "value")
 
@@ -86,23 +82,12 @@ class UserFamilyContext:
     def xzb_integ(self, t=None):
         return self._xzb(self._sub, t, "integral")
 
-    def expval(self, t=None):
-        return self._expval(self._sub, t, "value")
-
-    def expval_deriv(self, t=None):
-        return self._expval(self._sub, t, "d1")
-
-    def expval_deriv2(self, t=None):
-        return self._expval(self._sub, t, "d2")
-
-    def expval_integ(self, t=None):
-        return self._expval(self._sub, t, "integral")
-
     def xzb_mod(self, m: int, t=None):
         return self._xzb(self._check_mod(m), t, "value")
 
     def expval_mod(self, m: int, t=None):
-        return self._expval(self._check_mod(m), t, "value")
+        return self._ev.expval(self._params, self._check_mod(m), self._rows,
+                               self._times(t), self._draws, "value")
 
     def _check_mod(self, m: int) -> int:
         if not 1 <= m <= len(self._ev.subs):

@@ -65,6 +65,14 @@ class TestFit:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_ev_link_to_family_without_mean_exits_2(self, surv_csv, tmp_path, capsys):
+        code = run(["fit", "--inline",
+                    "weibull : Surv(t, d) ~ x\n"
+                    "exponential : Surv(t, d) ~ EV[1] | timevar=t",
+                    "--data", surv_csv, "--out", str(tmp_path / "f.json")])
+        assert code == 2
+        assert "mean" in capsys.readouterr().err
+
     def test_empty_dataset_exits_2(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("t,d,x\n")

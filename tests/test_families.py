@@ -212,3 +212,59 @@ class TestAnalyticVsNumericCumhazard:
         hz = np.asarray([ev.hazard(p, 0, np.asarray([0]), np.asarray([u]), {})[0, 0]
                          for u in x])
         assert abs(H - w @ hz) / H < 1e-6
+
+
+MEAN_FAMILIES = [f for f, rec in families.FAMILIES.items() if rec.link is not None]
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("family", MEAN_FAMILIES)
+    def test_mean_derivatives_match_central_differences(self, family):
+        eta = np.linspace(-3.0, 3.0, 13)
+        h = 1e-5
+        fd1 = (families.mean_value(family, eta + h)
+               - families.mean_value(family, eta - h)) / (2 * h)
+        fd2 = (families.mean_d1(family, eta + h)
+               - families.mean_d1(family, eta - h)) / (2 * h)
+        d1 = families.mean_d1(family, eta)
+        d2 = families.mean_d2(family, eta)
+        assert np.allclose(d1, fd1, rtol=1e-7, atol=1e-9)
+        assert np.allclose(d2, fd2, rtol=1e-6, atol=1e-8)
+
+    def test_families_without_mean(self):
+        assert set(families.FAMILIES) - set(MEAN_FAMILIES) == {
+            "exponential", "weibull", "gompertz", "rp", "loghazard", "user"}
+
+    # one tiny model per family and the parameter labels it must produce
+    MODELS = {
+        "gaussian": ("gaussian : yg ~ x", ["x", "_cons", "log_sd(resid.)"]),
+        "bernoulli": ("bernoulli : yb ~ x", ["x", "_cons"]),
+        "poisson": ("poisson : yc ~ x", ["x", "_cons"]),
+        "beta": ("beta : yp ~ x", ["x", "_cons", "log_phi"]),
+        "negbinomial": ("negbinomial : yc ~ x", ["x", "_cons", "log_alpha"]),
+        "exponential": ("exponential : Surv(t, d) ~ x", ["x", "_cons"]),
+        "weibull": ("weibull : Surv(t, d) ~ x", ["x", "_cons", "log(gamma)"]),
+        "gompertz": ("gompertz : Surv(t, d) ~ x", ["x", "_cons", "gamma"]),
+        "rp": ("rp : Surv(t, d) ~ x + rcs(t, df = 2, log = TRUE) | timevar=t",
+               ["x", "rcs():1", "rcs():2", "_cons"]),
+        "loghazard": ("loghazard : Surv(t, d) ~ x + rcs(t, df = 2, log = TRUE) | timevar=t",
+                      ["x", "rcs():1", "rcs():2", "_cons"]),
+        "user": ("user : yg ~ x + ap(1) | userf=logl_gaussian", ["x", "_cons", "_ap1"]),
+        "null": ("null : yg ~ x", ["x", "_cons"]),
+    }
+
+    @pytest.mark.parametrize("family", sorted(families.FAMILIES))
+    def test_layout_and_start_loglik(self, family):
+        from jointfit.estimation import LikelihoodEngine, start_values
+        rng = np.random.default_rng(3)
+        n = 12
+        d = make_dataset({
+            "x": rng.normal(size=n), "t": rng.exponential(2.0, n) + 0.1,
+            "d": np.tile([1.0, 0.0, 1.0], n // 3), "yg": rng.normal(size=n),
+            "yb": np.tile([0.0, 1.0], n // 2), "yc": rng.poisson(2.0, n),
+            "yp": rng.uniform(0.1, 0.9, n)})
+        text, labels = self.MODELS[family]
+        spec = jf.validate_spec(jf.parse_spec_text(text), d)
+        eng = LikelihoodEngine(Evaluator(spec, d))
+        assert eng.ev.layout.labels == labels
+        assert np.isfinite(eng.total_loglik(start_values(eng)))

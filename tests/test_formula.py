@@ -126,6 +126,12 @@ class TestParseModel:
         with pytest.raises(jf.ParseError, match="family"):
             parse_model("y ~ x", "tweedie")
 
+    @pytest.mark.parametrize("family", ["gaussian", "weibull", "null"])
+    def test_ap_only_for_user_families(self, family):
+        lhs = "Surv(t, d)" if family == "weibull" else "y"
+        with pytest.raises(jf.ParseError, match="ap"):
+            parse_model(f"{lhs} ~ x + ap(2)", family)
+
 
 PAPER_STYLE_FORMULAS = [
     ("gaussian", "log.grad ~ sex + age + time"),
@@ -228,6 +234,32 @@ class TestValidateSpec:
         jf.validate_spec(spec, self.data())
         link = spec.submodels[1].components[0].elements[0]
         assert link.target_index == 0
+
+    @pytest.mark.parametrize("target", [
+        "weibull : Surv(st, sd) ~ x | timevar=st",
+        "user : y ~ x + ap(1) | userf=logl_gaussian timevar=time",
+    ], ids=["weibull", "user"])
+    @pytest.mark.parametrize("link", ["EV", "dEV", "d2EV", "iEV"])
+    def test_ev_link_needs_target_with_mean(self, target, link):
+        name = "st" if target.startswith("weibull") else "y"
+        spec = parse_spec_text(
+            f"{target}\nexponential : Surv(time, sd) ~ {link}[{name}] | timevar=time\n")
+        with pytest.raises(jf.SpecError, match="mean"):
+            jf.validate_spec(spec, self.data())
+
+    def test_xb_link_to_survival_target_allowed(self):
+        spec = parse_spec_text(
+            "weibull : Surv(st, sd) ~ x | timevar=st\n"
+            "exponential : Surv(time, sd) ~ XB[st] | timevar=time\n")
+        jf.validate_spec(spec, self.data())
+
+    @pytest.mark.parametrize("family", ["gaussian", "null", "rp"])
+    def test_link_without_timevar_rejected(self, family):
+        lhs = "Surv(time, sd)" if family == "rp" else "x"
+        spec = parse_spec_text(
+            f"gaussian : y ~ time | timevar=time\n{family} : {lhs} ~ XB[y]\n")
+        with pytest.raises(jf.SpecError, match="timevar"):
+            jf.validate_spec(spec, self.data())
 
     def test_intmethod_broadcast(self):
         d = make_dataset(

@@ -164,3 +164,20 @@ class TestContextAccessors:
         eng.total_loglik(p)
         want = 0.4 * np.asarray([1.5, 2.5]) + 1.0
         assert np.allclose(captured["ev1"][:, 0], want)
+
+
+class TestNoMean:
+    def test_user_family_has_no_mu(self):
+        from jointfit import families
+        from jointfit.evaluator import EvalError
+        from jointfit.prediction import FittedModel, PredictRequest, predict_stat
+        rng = np.random.default_rng(4)
+        d = make_dataset({"y": rng.normal(size=40), "x": rng.normal(size=40)})
+        fit = fit_spec("user : y ~ x + ap(1) | userf=logl_gaussian", d)
+        model = FittedModel(fit, d)
+        with pytest.raises(EvalError, match="mu is undefined"):
+            predict_stat(model, PredictRequest(statistic="mu"))
+        with pytest.raises(ValueError, match="no link"):
+            families.mean_value("user", np.zeros(2))
+        eta = predict_stat(model, PredictRequest(statistic="eta"))["values"]
+        assert np.all(np.isfinite(eta))
