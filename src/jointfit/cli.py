@@ -1,7 +1,8 @@
 """Command-line front end: fit, predict, and the mlsurv wrapper.
 
-Exit codes: 0 success, 2 parse/validation error, 3 non-convergence
-(the best point is still written, flagged as not converged).
+Exit codes: 0 success, 2 parse/validation error or a model that cannot be
+evaluated, 3 non-convergence (the best point is still written, flagged as
+not converged).
 """
 
 import argparse

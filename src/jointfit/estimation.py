@@ -17,7 +17,7 @@ from scipy.stats import norm
 
 from . import families
 from .data import Dataset
-from .evaluator import Evaluator
+from .evaluator import EvalError, Evaluator
 from .formula import ModelSpec, format_spec
 from .quadrature import CovarianceParam, NodeSet, level_nodes, transform_nodes
 
@@ -105,39 +105,37 @@ class LikelihoodEngine:
             n = self.data.n_rows
             for s in range(0, max(n, 1), 4096):
                 rows = np.arange(s, min(s + 4096, n))
-                self.chunks.append({"rows": rows, "sub_sel": self._sub_sel(rows)})
+                self.chunks.append({"rows": rows, "subs": self._sub_rows(rows)})
             self.n_clusters = n
 
-    def _sub_sel(self, rows):
-        sel = []
+    def _sub_rows(self, rows):
+        """Per submodel, the chunk's positions among the submodel's observed
+        rows and the chunk-local positions of those rows."""
+        out = []
         row_set = np.zeros(self.data.n_rows + 1, dtype=bool)
         if len(rows):
             row_set[rows] = True
         for info in self.ev.subs:
             obs = info.rv.observed_rows
-            sel.append(np.flatnonzero(row_set[obs]) if len(obs) else np.arange(0))
-        return sel
+            sel = np.flatnonzero(row_set[obs]) if len(obs) else np.arange(0)
+            out.append((sel, np.searchsorted(rows, obs[sel])))
+        return out
 
     def _make_chunk(self, cids, top):
         rows = np.concatenate([top.cluster_rows[c] for c in cids]) if len(cids) else np.arange(0)
         rows = np.sort(rows)
-        chunk = {"cids": cids, "rows": rows, "sub_sel": self._sub_sel(rows)}
+        chunk = {"rows": rows, "subs": self._sub_rows(rows)}
         # per-level local cluster ids for the reduction, lowest level last
         maps = []
         for level in self.spec.levels:
             li = self.data.level_index[level]
             gids = li.row_cluster[rows]
             uniq, local = np.unique(gids, return_inverse=True)
-            maps.append({"row_local": local, "n": len(uniq), "gids": uniq})
+            maps.append({"row_local": local, "n": len(uniq)})
         # parent of each local cluster at the next-higher level
         for k in range(1, len(maps)):
             hi, lo = maps[k - 1], maps[k]
-            first_row = np.zeros(lo["n"], dtype=np.int64)
-            seen = np.zeros(lo["n"], dtype=bool)
-            for i_local, c in enumerate(lo["row_local"]):
-                if not seen[c]:
-                    first_row[c] = i_local
-                    seen[c] = True
+            first_row = np.unique(lo["row_local"], return_index=True)[1]
             lo["parent"] = hi["row_local"][first_row]
         chunk["maps"] = maps
         return chunk
@@ -180,30 +178,13 @@ class LikelihoodEngine:
         """Per-top-cluster log-likelihood values for one chunk."""
         chunk = self.chunks[chunk_id]
         rows = chunk["rows"]
-        token = f"c{chunk_id}"
-        if not self.spec.levels:
-            total = np.zeros(len(rows))
-            for i in range(len(self.ev.subs)):
-                sel = chunk["sub_sel"][i]
-                if len(sel) == 0:
-                    continue
-                ll = self.ev.loglik_matrix(params, i, draws, obs_sel=sel,
-                                           token=f"{token}s{i}")[:, 0]
-                obs_rows = self.ev.subs[i].rv.observed_rows[sel]
-                local = np.searchsorted(rows, obs_rows)
-                np.add.at(total, local, ll)
-            return total
-
         contrib = np.zeros((len(rows), self.nq))
-        for i in range(len(self.ev.subs)):
-            sel = chunk["sub_sel"][i]
-            if len(sel) == 0:
-                continue
-            ll = self.ev.loglik_matrix(params, i, draws, obs_sel=sel,
-                                       token=f"{token}s{i}")
-            obs_rows = self.ev.subs[i].rv.observed_rows[sel]
-            local = np.searchsorted(rows, obs_rows)
-            np.add.at(contrib, local, ll)
+        for i, (sel, local) in enumerate(chunk["subs"]):
+            if len(sel):
+                np.add.at(contrib, local,
+                          self.ev.loglik_matrix(params, i, draws, obs_sel=sel))
+        if not self.spec.levels:
+            return contrib[:, 0]
 
         # nested reduction, lowest level inward
         shape = tuple(self._level_counts)
@@ -274,7 +255,7 @@ def _rp_start(ev, sub, info, theta, cons_idx, log_rate):
                 and col.factors[0][0].kind in ("rcs", "fp")
                 and col.factors[0][0].var == sub.timevar):
             el, bi = col.factors[0]
-            cols.append(ev._basis_for(el).eval(t, "value")[:, bi])
+            cols.append(ev.basis_of[id(el)].eval(t, "value")[:, bi])
             idxs.append(col.param)
     if not cols:
         return
@@ -407,6 +388,15 @@ def maximize(spec: ModelSpec, data: Dataset, controls: FitControls | None = None
 
     f = lambda th: _neg_loglik(engine, th)
     x0 = controls.start if controls.start is not None else start_values(engine)
+    # a model that cannot be evaluated at all raises its EvalError here
+    # instead of leaving the search on the _BIG penalty plateau
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            engine.total_loglik(x0)
+    except EvalError:
+        raise
+    except (FloatingPointError, ValueError):
+        pass  # an invalid start point is the search's to handle
     xhat, fhat, it, converged = _bfgs(f, x0, controls)
 
     H = central_hessian(f, xhat, controls.hess_step)

@@ -29,6 +29,30 @@ class EvalError(ValueError):
     pass
 
 
+def _column(values, bi):
+    """Column bi of a basis's values as (n, 1); all of a link's or the
+    time variable's values when bi is None."""
+    return values if bi is None else values[:, bi:bi + 1]
+
+
+def _product_deriv(tf, factor, order):
+    """d1 or d2 of a product of time factors by a running product rule,
+    (fg)' = f'g + g'f and (fg)'' = f''g + g''f + f'g' + g'f', folded over
+    the factors in order.  factor(el, bi, order) gives one factor's values."""
+    second = order == "d2"
+    for k, (el, bi) in enumerate(tf):
+        fv, f1 = factor(el, bi, "value"), factor(el, bi, "d1")
+        f2 = factor(el, bi, "d2") if second else None
+        if k == 0:
+            v, d1, d2 = fv, f1, f2
+            continue
+        if second:
+            d2 = d2 * fv + f2 * v + d1 * f1 + f1 * d1
+        d1 = d1 * fv + f1 * v
+        v = v * fv
+    return d2 if second else d1
+
+
 @dataclass
 class Column:
     factors: list[tuple[Element, int | None]]
@@ -73,10 +97,9 @@ class Evaluator:
         self.spec = spec
         self.data = data
         self.bases: dict[tuple[int, int, int], object] = {}
+        self.basis_of: dict[int, object] = {}   # id(element) -> its basis
         self.subs: list[SubInfo] = []
         self.layout = ParamLayout()
-        self._cache: dict = {}
-        self._el_key: dict[tuple[int, int, int], Element] = {}
         self._build(bases or {})
 
     # ------------------------------------------------------------------
@@ -177,7 +200,7 @@ class Evaluator:
         return cols
 
     def _static_basis_col(self, el, bi):
-        basis = self._basis_for(el)
+        basis = self.basis_of[id(el)]
         vals = self.data.column(el.var)
         out = np.full(len(vals), np.nan)
         ok = ~np.isnan(vals)
@@ -189,9 +212,8 @@ class Evaluator:
 
     def _make_basis(self, i, j, k, el, sub, rv, given_bases):
         key = (i, j, k)
-        self._el_key[key] = el
         if key in given_bases:
-            self.bases[key] = given_bases[key]
+            self.bases[key] = self.basis_of[id(el)] = given_bases[key]
             return given_bases[key]
         if el.kind == "fp":
             b = FpBasis(el.powers)
@@ -214,7 +236,7 @@ class Evaluator:
                 if el.log:
                     vals = vals[vals > 0]
                 b.fit_orthog(vals)
-        self.bases[key] = b
+        self.bases[key] = self.basis_of[id(el)] = b
         return b
 
     # ------------------------------------------------------------------
@@ -224,22 +246,11 @@ class Evaluator:
     def n_params(self) -> int:
         return self.layout.n_params
 
-    def _basis_for(self, el: Element):
-        for key, kel in self._el_key.items():
-            if kel is el:
-                return self.bases[key]
-        raise EvalError("internal: no basis for element")
-
-    def _factor_eval(self, params, el, bi, rows, t, draws, order, token):
-        """One time-varying factor at times t; returns (n, nq) or (n, 1)."""
+    def _factor_values(self, params, el, rows, t, draws, order):
+        """Every column of one time-varying element at times t: (n, df) for a
+        spline/fp basis, (n, 1) for the time variable, (n, nq) for a link."""
         if el.kind == "link":
-            return self._link_eval(params, el, rows, t, draws, order, token)
-        # the evaluation times must be part of the key: one token can cover
-        # several blocks of quadrature nodes along the time axis
-        if token is not None:
-            ckey = (id(el), bi, order, token, None if t is None else t.tobytes())
-            if ckey in self._cache:
-                return self._cache[ckey]
+            return self._link_eval(params, el, rows, t, draws, order)
         if el.kind == "variable":
             if order == "value":
                 out = t
@@ -249,14 +260,10 @@ class Evaluator:
                 out = np.zeros_like(t)
             else:
                 out = 0.5 * t**2
-            out = out[:, None]
-        else:
-            out = self._basis_for(el).eval(t, order)[:, bi][:, None]
-        if token is not None:
-            self._cache[ckey] = out
-        return out
+            return out[:, None]
+        return self.basis_of[id(el)].eval(t, order)
 
-    def _link_eval(self, params, el, rows, t, draws, order, token):
+    def _link_eval(self, params, el, rows, t, draws, order):
         base = _LINK_BASE[el.link_kind]
         req = _ORDER_NUM[order]
         is_ev = el.link_kind.endswith("EV")
@@ -264,8 +271,8 @@ class Evaluator:
 
         def raw(ordname, rr=rows, tt=t):
             if is_ev:
-                return self.expval(params, target, rr, tt, draws, ordname, token=None)
-            return self.eta(params, target, rr, tt, draws, ordname, token=None)
+                return self.expval(params, target, rr, tt, draws, ordname)
+            return self.eta(params, target, rr, tt, draws, ordname)
 
         if req == 0:
             total = base
@@ -283,8 +290,11 @@ class Evaluator:
                                     rows, t, TIME_GL_POINTS)
         return raw(_NUM_ORDER[total])
 
-    def eta(self, params, sub_idx, rows, t, draws, order="value", token=None):
-        """Complex predictor (or its time derivative/integral): (n, nq)."""
+    def eta(self, params, sub_idx, rows, t, draws, order="value"):
+        """Complex predictor (or its time derivative/integral): (n, nq).
+
+        Each time-varying element is evaluated once per call, for every
+        column that uses it; nothing is kept between calls."""
         info = self.subs[sub_idx]
         nq = 1
         if draws:
@@ -293,6 +303,14 @@ class Evaluator:
         acc = np.zeros((n, nq))
         if t is not None:
             t = np.asarray(t, dtype=float)
+        table: dict[tuple[int, str], np.ndarray] = {}
+
+        def factor(el, bi, forder):
+            key = (id(el), forder)
+            if key not in table:
+                table[key] = self._factor_values(params, el, rows, t, draws, forder)
+            return _column(table[key], bi)
+
         for col in info.columns:
             coef = 1.0 if col.param is None else params[col.param]
             s = col.static[rows]
@@ -309,67 +327,30 @@ class Evaluator:
             if order == "value":
                 v = base
                 for el, bi in tf:
-                    v = v * self._factor_eval(params, el, bi, rows, t, draws, "value", token)
+                    v = v * factor(el, bi, "value")
             elif order in ("d1", "d2"):
                 if not tf:
                     continue
-                v = self._product_deriv(params, tf, rows, t, draws, order, token)
-                v = base * v
+                v = base * _product_deriv(tf, factor, order)
             else:  # integral over (0, t]
                 if not tf:
                     v = base * t[:, None]
                 elif len(tf) == 1:
                     el, bi = tf[0]
-                    v = base * self._factor_eval(params, el, bi, rows, t, draws,
-                                                 "integral", token)
+                    v = base * factor(el, bi, "integral")
                 else:
                     def prod_val(rr, tt):
                         out = None
                         for el, bi in tf:
-                            fv = self._factor_eval(params, el, bi, rr, tt, draws,
-                                                   "value", None)
+                            fv = _column(self._factor_values(params, el, rr, tt, draws,
+                                                             "value"), bi)
                             out = fv if out is None else out * fv
                         return out
                     v = base * integrate_to(prod_val, rows, t, TIME_GL_POINTS)
             acc = acc + coef * v
         return acc
 
-    def _product_deriv(self, params, tf, rows, t, draws, order, token):
-        vals = [self._factor_eval(params, el, bi, rows, t, draws, "value", token)
-                for el, bi in tf]
-        d1s = [self._factor_eval(params, el, bi, rows, t, draws, "d1", token)
-               for el, bi in tf]
-        m = len(tf)
-        if order == "d1":
-            out = None
-            for i in range(m):
-                term = d1s[i]
-                for j in range(m):
-                    if j != i:
-                        term = term * vals[j]
-                out = term if out is None else out + term
-            return out
-        d2s = [self._factor_eval(params, el, bi, rows, t, draws, "d2", token)
-               for el, bi in tf]
-        out = None
-        for i in range(m):
-            term = d2s[i]
-            for j in range(m):
-                if j != i:
-                    term = term * vals[j]
-            out = term if out is None else out + term
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                term = d1s[i] * d1s[j]
-                for k in range(m):
-                    if k != i and k != j:
-                        term = term * vals[k]
-                out = out + term
-        return out
-
-    def expval(self, params, sub_idx, rows, t, draws, order="value", token=None):
+    def expval(self, params, sub_idx, rows, t, draws, order="value"):
         """Expected response of a submodel and its time derivatives/integral."""
         fam = self.spec.submodels[sub_idx].family
         if families.FAMILIES[fam].link is None:
@@ -378,13 +359,13 @@ class Evaluator:
             return integrate_to(
                 lambda rr, tt: self.expval(params, sub_idx, rr, tt, draws, "value"),
                 rows, t, TIME_GL_POINTS)
-        ev = self.eta(params, sub_idx, rows, t, draws, "value", token)
+        ev = self.eta(params, sub_idx, rows, t, draws, "value")
         if order == "value":
             return families.mean_value(fam, ev)
-        e1 = self.eta(params, sub_idx, rows, t, draws, "d1", token)
+        e1 = self.eta(params, sub_idx, rows, t, draws, "d1")
         if order == "d1":
             return families.mean_d1(fam, ev) * e1
-        e2 = self.eta(params, sub_idx, rows, t, draws, "d2", token)
+        e2 = self.eta(params, sub_idx, rows, t, draws, "d2")
         return families.mean_d2(fam, ev) * e1**2 + families.mean_d1(fam, ev) * e2
 
     # ------------------------------------------------------------------
@@ -394,44 +375,42 @@ class Evaluator:
     def _ap(self, params, sub_idx):
         return np.asarray([params[k] for k in self.subs[sub_idx].ap_idx])
 
-    def hazard(self, params, sub_idx, rows, t, draws, token=None):
+    def hazard(self, params, sub_idx, rows, t, draws):
         sub = self.spec.submodels[sub_idx]
         if not sub.is_survival:
             raise EvalError(f"hazard undefined for family {sub.family!r}")
         ap = self._ap(params, sub_idx)
-        ev = self.eta(params, sub_idx, rows, t, draws, "value", token)
+        ev = self.eta(params, sub_idx, rows, t, draws, "value")
         if families.FAMILIES[sub.family].log_hazard is None:  # rp: eta is log H
-            d1 = self.eta(params, sub_idx, rows, t, draws, "d1", token)
+            d1 = self.eta(params, sub_idx, rows, t, draws, "d1")
             return d1 * np.exp(ev)
         off = families.log_hazard_offset(sub.family, t, ap)
         return np.exp(ev + off[:, None])
 
-    def cumhazard(self, params, sub_idx, rows, t, draws, token=None):
+    def cumhazard(self, params, sub_idx, rows, t, draws):
         sub = self.spec.submodels[sub_idx]
         if not sub.is_survival:
             raise EvalError(f"cumulative hazard undefined for family {sub.family!r}")
         ap = self._ap(params, sub_idx)
         fam = families.FAMILIES[sub.family]
         if fam.log_hazard is None:  # rp: eta is log H
-            ev = self.eta(params, sub_idx, rows, t, draws, "value", token)
+            ev = self.eta(params, sub_idx, rows, t, draws, "value")
             return np.exp(ev)
         if fam.cumhazard is not None and not self.subs[sub_idx].has_time:
-            ev = self.eta(params, sub_idx, rows, t, draws, "value", token)
+            ev = self.eta(params, sub_idx, rows, t, draws, "value")
             lam0 = families.baseline_cumhazard_factor(sub.family, t, ap)
             return np.exp(ev) * lam0[:, None]
-        return integrate_to(
-            lambda rr, tt: self.hazard(params, sub_idx, rr, tt, draws,
-                                       None if token is None else f"{token}|ch"),
-            rows, t, TIME_GL_POINTS)
+        return integrate_to(lambda rr, tt: self.hazard(params, sub_idx, rr, tt, draws),
+                            rows, t, TIME_GL_POINTS)
 
-    def survival(self, params, sub_idx, rows, t, draws, token=None):
-        return np.exp(-self.cumhazard(params, sub_idx, rows, t, draws, token))
+    def survival(self, params, sub_idx, rows, t, draws):
+        return np.exp(-self.cumhazard(params, sub_idx, rows, t, draws))
 
     # ------------------------------------------------------------------
     # log-likelihood
     # ------------------------------------------------------------------
 
-    def loglik_matrix(self, params, sub_idx, draws, obs_sel=None, token=None):
+    def loglik_matrix(self, params, sub_idx, draws, obs_sel=None):
         """Per-observation log-likelihood contributions, (n_obs, nq).
 
         obs_sel selects a subset of the submodel's observed rows (used by
@@ -452,26 +431,25 @@ class Evaluator:
                 out = np.asarray(get_user_family(sub.userf)(ctx))
                 nq = len(next(iter(draws.values()))) if draws else 1
                 return np.broadcast_to(out, (len(rows), nq)).copy()
-            ev = self.eta(params, sub_idx, rows, tv, draws, "value", token)
+            ev = self.eta(params, sub_idx, rows, tv, draws, "value")
             out = families.scalar_loglik(sub.family, y, ev, self._ap(params, sub_idx))
             return np.where(np.isnan(out), -np.inf, out)
         # survival contribution: d * log h(t) - H(t)
         t, d = y[:, 0], y[:, 1]
         ap = self._ap(params, sub_idx)
-        H = self.cumhazard(params, sub_idx, rows, t, draws, token)
+        H = self.cumhazard(params, sub_idx, rows, t, draws)
         ll = -H
         ev_idx = d > 0
         if ev_idx.any():
             erows = rows[ev_idx]
             et = t[ev_idx]
-            etok = None if token is None else f"{token}|ev"
             if fam.log_hazard is None:  # rp
-                ev = self.eta(params, sub_idx, erows, et, draws, "value", etok)
-                d1 = self.eta(params, sub_idx, erows, et, draws, "d1", etok)
+                ev = self.eta(params, sub_idx, erows, et, draws, "value")
+                d1 = self.eta(params, sub_idx, erows, et, draws, "d1")
                 with np.errstate(divide="ignore", invalid="ignore"):
                     logh = np.where(d1 > 0, np.log(np.maximum(d1, 1e-300)) + ev, -np.inf)
             else:
-                evv = self.eta(params, sub_idx, erows, et, draws, "value", etok)
+                evv = self.eta(params, sub_idx, erows, et, draws, "value")
                 off = families.log_hazard_offset(sub.family, et, ap)
                 logh = evv + off[:, None]
             if sub.bhazard_var is not None:

@@ -321,6 +321,8 @@ def parse_model(
         raise ParseError(f"family {family!r} requires a Surv(time, status) response")
     if fam.user and not userf:
         raise ParseError("family 'user' requires a userf name")
+    if userf and not fam.user:
+        raise ParseError(f"userf= is for user families only, not {family!r}")
     return sub
 
 

@@ -73,6 +73,15 @@ class TestFit:
         assert code == 2
         assert "mean" in capsys.readouterr().err
 
+    def test_unevaluable_user_model_exits_2(self, tmp_path, capsys):
+        from test_userfam import LINK_WITHOUT_TIMEVAR, link_without_timevar_data
+        data = tmp_path / "d.csv"
+        jf.save_table(link_without_timevar_data(), str(data))
+        code = run(["fit", "--inline", LINK_WITHOUT_TIMEVAR, "--data", str(data),
+                    "--out", str(tmp_path / "f.json")])
+        assert code == 2
+        assert "without a time" in capsys.readouterr().err
+
     def test_empty_dataset_exits_2(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("t,d,x\n")

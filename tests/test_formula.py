@@ -132,6 +132,14 @@ class TestParseModel:
         with pytest.raises(jf.ParseError, match="ap"):
             parse_model(f"{lhs} ~ x + ap(2)", family)
 
+    @pytest.mark.parametrize("family", ["gaussian", "weibull", "null"])
+    def test_userf_only_for_user_families(self, family):
+        lhs = "Surv(t, d)" if family == "weibull" else "y"
+        with pytest.raises(jf.ParseError, match="userf"):
+            parse_model(f"{lhs} ~ x", family, userf="logl_gaussian")
+        with pytest.raises(jf.ParseError, match="userf"):
+            jf.parse_spec_text(f"{family} : {lhs} ~ x | userf=logl_gaussian")
+
 
 PAPER_STYLE_FORMULAS = [
     ("gaussian", "log.grad ~ sex + age + time"),

@@ -85,7 +85,7 @@ def make_model(kind):
 
 
 def results(kind, stats=("cumhazard", "loglik", "cif", "cif_marginal")):
-    """Fresh model (so no cached factor crosses runs) and its results."""
+    """A fresh model and its results."""
     model = make_model(kind)
     ev, p = model.ev, model.params
     rows = ev.subs[SUB].rv.observed_rows

@@ -181,3 +181,25 @@ class TestNoMean:
             families.mean_value("user", np.zeros(2))
         eta = predict_stat(model, PredictRequest(statistic="eta"))["values"]
         assert np.all(np.isfinite(eta))
+
+
+# a user kernel calls ctx.xzb(), which needs the submodel's timevar because
+# of the XB[] link; there is none
+LINK_WITHOUT_TIMEVAR = (
+    "gaussian : y ~ time | timevar=time\n"
+    "user : y2 ~ XB[y] + ap(1) | userf=logl_gaussian\n"
+)
+
+
+def link_without_timevar_data():
+    rng = np.random.default_rng(5)
+    time = rng.uniform(0.0, 3.0, 30)
+    return make_dataset({"y": 1.0 + 0.5 * time + rng.normal(0.0, 0.3, 30),
+                         "y2": rng.normal(size=30), "time": time})
+
+
+class TestUnevaluableModel:
+    def test_maximize_raises_the_eval_error(self):
+        from jointfit.evaluator import EvalError
+        with pytest.raises(EvalError, match="without a time"):
+            fit_spec(LINK_WITHOUT_TIMEVAR, link_without_timevar_data())
