@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import gauss_legendre
+from .quadrature import integrate_to
 
 _INTEG_GL_POINTS = 30
 
@@ -165,20 +165,17 @@ class RcsBasis:
     def _log_integral(self, t: np.ndarray) -> np.ndarray:
         # first column: int_0^t log u du = t (log t - 1); spline columns are
         # zero below exp(k_min) and only piecewise smooth at the interior
-        # knots, so Gauss-Legendre runs per inter-knot segment
+        # knots, so Gauss-Legendre runs per inter-knot segment, for all rows
+        # at once: a row's length in a segment is zero outside it
         out = np.zeros((len(t), self.df))
         out[:, 0] = t * (np.log(t) - 1.0)
-        lo = np.exp(self.knots[0])
-        interior = np.exp(self.knots[1:-1])
-        for i, ti in enumerate(t):
-            if ti <= lo:
-                continue
-            cuts = [lo] + [float(k) for k in interior if lo < k < ti] + [float(ti)]
-            acc = 0.0
-            for a, c in zip(cuts[:-1], cuts[1:]):
-                u, w = gauss_legendre(_INTEG_GL_POINTS, a, c)
-                acc = acc + w @ self._raw_x(np.log(u), "value")[:, 1:]
-            out[i, 1:] = acc
+        cuts = np.append(np.exp(self.knots[:-1]), np.inf)
+        rows = np.arange(len(t))
+        for a, c in zip(cuts[:-1], cuts[1:]):
+            length = np.clip(t, a, c) - a
+            out[:, 1:] += integrate_to(
+                lambda r, u: self._raw_x(np.log(a + u), "value")[:, 1:],
+                rows, length, _INTEG_GL_POINTS)
         return out
 
     def eval(self, t: np.ndarray, order: str = "value") -> np.ndarray:

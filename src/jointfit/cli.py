@@ -20,6 +20,7 @@ from .evaluator import EvalError, Evaluator
 from .formula import (ModelSpec, ParseError, SpecError, parse_component,
                       parse_model, parse_spec_text, validate_spec)
 from .prediction import FittedModel, PredictRequest, predict_stat
+from .userfam import UserFamilyError
 
 
 def _add_common(p):
@@ -186,7 +187,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SpecError, DataError, EvalError, FileNotFoundError) as err:
+    except (ParseError, SpecError, DataError, EvalError, UserFamilyError,
+            FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

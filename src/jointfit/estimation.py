@@ -6,6 +6,15 @@ Cholesky factor at every evaluation.  Work is partitioned into fixed
 chunks of top-level clusters; chunks may be computed on a thread pool but
 are always reduced in cluster order, so results are independent of the
 worker count.
+
+Within a chunk the submodels' per-row contributions on the full node grid
+are summed per row, then reduced one level at a time, lowest first.  Each
+level keeps one integer label array giving the chunk-local cluster of each
+unit one level down (a row at the lowest level, a lower-level cluster
+above it).  A single np.bincount over flattened (label, node) indices sums
+each cluster's units, adding in unit order from 0 as a scatter-add would,
+and a weighted log-sum-exp over the level's nodes integrates the cluster.
+A model without levels has a one-node grid and no reduction step.
 """
 
 import json
@@ -17,7 +26,7 @@ from scipy.stats import norm
 
 from . import families
 from .data import Dataset
-from .evaluator import EvalError, Evaluator
+from .evaluator import Evaluator
 from .formula import ModelSpec, format_spec
 from .quadrature import CovarianceParam, NodeSet, level_nodes, transform_nodes
 
@@ -33,13 +42,8 @@ class ConvergenceError(RuntimeError):
 @dataclass
 class FitControls:
     max_iter: int = 200
-    grad_tol: float = 1e-5
-    rel_tol: float = 1e-8
-    grad_step: float = 1e-6
-    hess_step: float = 1e-4
     seed: int = 0
     threads: int = 1
-    start: np.ndarray | None = None
 
 
 @dataclass
@@ -78,67 +82,54 @@ class LikelihoodEngine:
             self.node_sets.append(
                 level_nodes(self.spec.intmethod[k], self.spec.ip[k], r, seed + k)
             )
-        self._grid_idx: list[np.ndarray] = []
-        if self.spec.levels:
-            counts = [ns.nodes.shape[0] for ns in self.node_sets]
-            grids = np.meshgrid(*[np.arange(c) for c in counts], indexing="ij")
-            self._grid_idx = [g.ravel() for g in grids]
-            self.nq = int(np.prod(counts))
-            self._level_counts = counts
-        else:
-            self.nq = 1
-            self._level_counts = []
+        # the full cross-level grid, level 0 outermost: node index per level
+        # and the product of the levels' weights
+        self._level_counts = tuple(ns.nodes.shape[0] for ns in self.node_sets)
+        grids = np.meshgrid(*[np.arange(c) for c in self._level_counts], indexing="ij")
+        self._grid_idx = [g.ravel() for g in grids]
+        self.nq = int(np.prod(self._level_counts))
+        self.weights = np.ones(self.nq)
+        for ns, idx in zip(self.node_sets, self._grid_idx):
+            self.weights = self.weights * ns.weights[idx]
         self._build_chunks()
 
     # -- chunk partition (fixed, independent of thread count) -------------
 
     def _build_chunks(self):
-        self.chunks = []
         if self.spec.levels:
             top = self.data.level_index[self.spec.levels[0]]
-            order = np.arange(top.n_clusters)
-            for s in range(0, len(order), CHUNK_CLUSTERS):
-                cids = order[s:s + CHUNK_CLUSTERS]
-                self.chunks.append(self._make_chunk(cids, top))
             self.n_clusters = top.n_clusters
+            self.chunks = [
+                self._make_chunk(np.sort(np.concatenate(
+                    top.cluster_rows[s:s + CHUNK_CLUSTERS])))
+                for s in range(0, top.n_clusters, CHUNK_CLUSTERS)]
         else:
-            n = self.data.n_rows
-            for s in range(0, max(n, 1), 4096):
-                rows = np.arange(s, min(s + 4096, n))
-                self.chunks.append({"rows": rows, "subs": self._sub_rows(rows)})
-            self.n_clusters = n
+            n = self.n_clusters = self.data.n_rows
+            self.chunks = [self._make_chunk(np.arange(s, min(s + 4096, n)))
+                           for s in range(0, max(n, 1), 4096)]
 
-    def _sub_rows(self, rows):
-        """Per submodel, the chunk's positions among the submodel's observed
-        rows and the chunk-local positions of those rows."""
-        out = []
-        row_set = np.zeros(self.data.n_rows + 1, dtype=bool)
-        if len(rows):
-            row_set[rows] = True
+    def _make_chunk(self, rows):
+        """A chunk's rows, where each submodel's observed rows fall among
+        them, and one label array per level for the reduction."""
+        pos = np.full(self.data.n_rows, -1)
+        pos[rows] = np.arange(len(rows))
+        # per submodel, the chunk's positions among the submodel's observed
+        # rows and the chunk-local positions of those rows
+        subs = []
         for info in self.ev.subs:
-            obs = info.rv.observed_rows
-            sel = np.flatnonzero(row_set[obs]) if len(obs) else np.arange(0)
-            out.append((sel, np.searchsorted(rows, obs[sel])))
-        return out
-
-    def _make_chunk(self, cids, top):
-        rows = np.concatenate([top.cluster_rows[c] for c in cids]) if len(cids) else np.arange(0)
-        rows = np.sort(rows)
-        chunk = {"rows": rows, "subs": self._sub_rows(rows)}
-        # per-level local cluster ids for the reduction, lowest level last
-        maps = []
-        for level in self.spec.levels:
-            li = self.data.level_index[level]
-            gids = li.row_cluster[rows]
-            uniq, local = np.unique(gids, return_inverse=True)
-            maps.append({"row_local": local, "n": len(uniq)})
-        # parent of each local cluster at the next-higher level
-        for k in range(1, len(maps)):
-            hi, lo = maps[k - 1], maps[k]
-            first_row = np.unique(lo["row_local"], return_index=True)[1]
-            lo["parent"] = hi["row_local"][first_row]
-        chunk["maps"] = maps
-        return chunk
+            local = pos[info.rv.observed_rows]
+            sel = np.flatnonzero(local >= 0)
+            subs.append((sel, local[sel]))
+        # labels[k]: the chunk-local level-k cluster of each unit one level
+        # down (a row at the lowest level, else a level-(k+1) cluster)
+        labels = []
+        unit_rows = np.arange(len(rows))  # a chunk row inside each unit
+        for level in reversed(self.spec.levels):
+            gids = self.data.level_index[level].row_cluster[rows]
+            _, first, local = np.unique(gids, return_index=True, return_inverse=True)
+            labels.insert(0, local[unit_rows])
+            unit_rows = first
+        return {"rows": rows, "subs": subs, "labels": labels}
 
     # -- draws -------------------------------------------------------------
 
@@ -152,8 +143,6 @@ class LikelihoodEngine:
 
     def draws(self, params) -> dict[str, np.ndarray]:
         """Random-effect draw columns on the full cross-level grid."""
-        if not self.spec.levels:
-            return {}
         covs = self.covariance_params(params)
         out = {}
         for k, level in enumerate(self.spec.levels):
@@ -177,31 +166,25 @@ class LikelihoodEngine:
     def _chunk_loglik(self, chunk_id, params, draws) -> np.ndarray:
         """Per-top-cluster log-likelihood values for one chunk."""
         chunk = self.chunks[chunk_id]
-        rows = chunk["rows"]
-        contrib = np.zeros((len(rows), self.nq))
+        n = len(chunk["rows"])
+        cur = np.zeros((n, self.nq))
         for i, (sel, local) in enumerate(chunk["subs"]):
-            if len(sel):
-                np.add.at(contrib, local,
-                          self.ev.loglik_matrix(params, i, draws, obs_sel=sel))
-        if not self.spec.levels:
-            return contrib[:, 0]
+            if len(sel):  # a submodel's chunk positions are unique
+                cur[local] += self.ev.loglik_matrix(params, i, draws, obs_sel=sel)
 
-        # nested reduction, lowest level inward
-        shape = tuple(self._level_counts)
-        cur = contrib.reshape((len(rows),) + shape)
-        maps = chunk["maps"]
-        group = maps[-1]["row_local"] if maps else None
-        for k in range(len(maps) - 1, -1, -1):
-            m = maps[k]
-            agg = np.zeros((m["n"],) + cur.shape[1:])
-            np.add.at(agg, group, cur)
+        # nested reduction, lowest level inward: sum each cluster's units,
+        # then integrate the cluster over the level's nodes
+        cur = cur.reshape((n,) + self._level_counts)
+        for k in reversed(range(len(self.node_sets))):
+            width = int(np.prod(cur.shape[1:]))
+            idx = chunk["labels"][k][:, None] * width + np.arange(width)
+            agg = np.bincount(idx.ravel(), weights=cur.ravel())
+            agg = agg.reshape((-1,) + cur.shape[1:])
             w = self.node_sets[k].weights
             mx = np.max(agg, axis=-1, keepdims=True)
             mx_safe = np.where(np.isfinite(mx), mx, 0.0)
             with np.errstate(divide="ignore"):
                 cur = np.log(np.sum(np.exp(agg - mx_safe) * w, axis=-1)) + mx_safe[..., 0]
-            if k > 0:
-                group = m["parent"]
         return cur  # (n_top_clusters_in_chunk,)
 
     def cluster_logliks(self, params) -> np.ndarray:
@@ -272,6 +255,10 @@ def _rp_start(ev, sub, info, theta, cons_idx, log_rate):
 # ---------------------------------------------------------------------------
 
 _BIG = 1e10
+GRAD_TOL = 1e-5    # gradient inf-norm for convergence
+REL_TOL = 1e-8     # relative objective change for convergence
+GRAD_STEP = 1e-6   # relative central-difference step of the gradient
+HESS_STEP = 1e-4   # relative outer central-difference step of the Hessian
 
 
 def _neg_loglik(engine, params):
@@ -312,24 +299,24 @@ def central_hessian(f, x, step_scale):
     return 0.5 * (H + H.T)
 
 
-def _bfgs(f, x0, controls: FitControls):
+def _bfgs(f, x0, max_iter: int):
     """BFGS ascent on -f with backtracking line search.
 
-    Converged when the gradient inf-norm falls below grad_tol and the
-    relative objective change falls below rel_tol.
+    Converged when the gradient inf-norm falls below GRAD_TOL and the
+    relative objective change falls below REL_TOL.
     """
     x = np.asarray(x0, dtype=float)
     n = len(x)
     fx = f(x)
-    g = central_gradient(f, x, controls.grad_step)
+    g = central_gradient(f, x, GRAD_STEP)
     Hinv = np.eye(n)
     converged = False
     it = 0
     rel_change = np.inf
     best_x, best_f = x.copy(), fx
-    while it < controls.max_iter:
+    while it < max_iter:
         gmax = np.max(np.abs(g))
-        if gmax < controls.grad_tol and rel_change < controls.rel_tol:
+        if gmax < GRAD_TOL and rel_change < REL_TOL:
             converged = True
             break
         p = -Hinv @ g
@@ -339,7 +326,7 @@ def _bfgs(f, x0, controls: FitControls):
             p = -g
             slope = g @ p
             if slope >= 0:
-                converged = gmax < controls.grad_tol
+                converged = gmax < GRAD_TOL
                 break
         alpha, ok = 1.0, False
         for _ in range(40):
@@ -350,9 +337,9 @@ def _bfgs(f, x0, controls: FitControls):
                 break
             alpha *= 0.5
         if not ok:
-            converged = gmax < controls.grad_tol
+            converged = gmax < GRAD_TOL
             break
-        g_new = central_gradient(f, x_new, controls.grad_step)
+        g_new = central_gradient(f, x_new, GRAD_STEP)
         s = x_new - x
         yv = g_new - g
         sy = s @ yv
@@ -387,19 +374,14 @@ def maximize(spec: ModelSpec, data: Dataset, controls: FitControls | None = None
     engine = LikelihoodEngine(ev, seed=controls.seed, threads=controls.threads)
 
     f = lambda th: _neg_loglik(engine, th)
-    x0 = controls.start if controls.start is not None else start_values(engine)
-    # a model that cannot be evaluated at all raises its EvalError here
-    # instead of leaving the search on the _BIG penalty plateau
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            engine.total_loglik(x0)
-    except EvalError:
-        raise
-    except (FloatingPointError, ValueError):
-        pass  # an invalid start point is the search's to handle
-    xhat, fhat, it, converged = _bfgs(f, x0, controls)
+    x0 = start_values(engine)
+    # a model that cannot be evaluated at all raises here instead of
+    # leaving the search on the _BIG penalty plateau
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        engine.total_loglik(x0)
+    xhat, fhat, it, converged = _bfgs(f, x0, controls.max_iter)
 
-    H = central_hessian(f, xhat, controls.hess_step)
+    H = central_hessian(f, xhat, HESS_STEP)
     vcov = None
     try:
         vcov = np.linalg.inv(H)

@@ -48,10 +48,7 @@ class FittedModel:
         spec.ip = fit.ip
         self.spec = validate_spec(spec, data)
         self.data = data
-        bases = fit.bases
-        if bases and isinstance(next(iter(bases)), str):
-            bases = deserialize_bases(bases)
-        self.ev = Evaluator(self.spec, data, bases=bases)
+        self.ev = Evaluator(self.spec, data, bases=deserialize_bases(fit.bases))
         self.engine = LikelihoodEngine(self.ev, seed=fit.seed if seed is None else seed)
         self.params = np.asarray(fit.estimates, dtype=float)
 
@@ -84,13 +81,9 @@ def _default_times(model: FittedModel, m: int, rows: np.ndarray) -> np.ndarray:
 
 
 def _draws_weights(model: FittedModel, type_: str):
-    if type_ == "fixedonly" or not model.spec.levels:
+    if type_ == "fixedonly":
         return model.engine.zero_draws(), np.ones(1)
-    draws = model.engine.draws(model.params)
-    weights = np.ones(1)
-    for ns in model.engine.node_sets:
-        weights = np.kron(weights, ns.weights)
-    return draws, weights
+    return model.engine.draws(model.params), model.engine.weights
 
 
 def _total_cumhazard(model: FittedModel, rows, u, draws, causes) -> np.ndarray:

@@ -71,6 +71,25 @@ def piecewise_gl(b, t1, t2, n=20):
     return acc
 
 
+def per_row_log_integral(b, t):
+    """Oracle: the raw log-time integral row by row, one Gauss-Legendre rule
+    per inter-knot segment below t."""
+    out = np.zeros((len(t), b.df))
+    out[:, 0] = t * (np.log(t) - 1.0)
+    lo = np.exp(b.knots[0])
+    interior = np.exp(b.knots[1:-1])
+    for i, ti in enumerate(t):
+        if ti <= lo:
+            continue
+        cuts = [lo] + [float(k) for k in interior if lo < k < ti] + [float(ti)]
+        acc = 0.0
+        for a, c in zip(cuts[:-1], cuts[1:]):
+            u, w = gauss_legendre(30, a, c)
+            acc = acc + w @ b._raw_x(np.log(u), "value")[:, 1:]
+        out[i, 1:] = acc
+    return out
+
+
 class TestRcsEval:
     def basis(self, df=3):
         rng = np.random.default_rng(0)
@@ -134,6 +153,25 @@ class TestRcsEval:
                 - b.eval(np.asarray([t1]), "integral"))
         ref = piecewise_gl(b, t1, t2, n=30)
         assert np.max(np.abs(diff[0] - ref)) < 1e-7
+
+    @pytest.mark.parametrize("orthog", [False, True])
+    @pytest.mark.parametrize("df", [1, 3, 5])
+    def test_log_time_integral_matches_per_row_rule(self, df, orthog):
+        rng = np.random.default_rng(5)
+        v = rng.uniform(0.5, 10.0, 200)
+        b = RcsBasis(rcs_knots(v, df, log_time=True), log_time=True)
+        # below, at, between and above the knots
+        k = np.exp(b.knots)
+        t = np.sort(np.concatenate([[0.05, 0.3, k[0] * 0.999], k,
+                                    (k[:-1] + k[1:]) / 2, [12.0, 40.0],
+                                    rng.uniform(0.1, 15.0, 40)]))
+        ref = per_row_log_integral(b, t)
+        if orthog:
+            b.fit_orthog(v)
+            ref = ref @ b.orthog_mat + np.outer(t, b.orthog_shift)
+        got = b.eval(t, "integral")
+        scale = np.max(np.abs(ref), axis=0)
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
     def test_log_time_rejects_nonpositive(self):
         b = RcsBasis(np.asarray([0.0, 1.0]), log_time=True)

@@ -82,6 +82,16 @@ class TestFit:
         assert code == 2
         assert "without a time" in capsys.readouterr().err
 
+    def test_user_family_error_exits_2(self, tmp_path, capsys):
+        from test_userfam import NEEDS_TIME, needs_time, needs_time_data
+        jf.register_user_family("needs_time", needs_time, replace=True)
+        data = tmp_path / "d.csv"
+        jf.save_table(needs_time_data(), str(data))
+        code = run(["fit", "--inline", NEEDS_TIME, "--data", str(data),
+                    "--out", str(tmp_path / "f.json")])
+        assert code == 2
+        assert "submodel has no timevar" in capsys.readouterr().err
+
     def test_empty_dataset_exits_2(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("t,d,x\n")

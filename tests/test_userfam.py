@@ -191,6 +191,20 @@ LINK_WITHOUT_TIMEVAR = (
 )
 
 
+# a user kernel asks for the timevar of a submodel that has none
+NEEDS_TIME = "user : y ~ x | userf=needs_time\n"
+
+
+def needs_time(ctx):
+    return -0.5 * (ctx.depvar() - ctx.timevar())[:, None] ** 2
+
+
+def needs_time_data():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=30)
+    return make_dataset({"y": 1.0 + 0.5 * x + rng.normal(0.0, 0.3, 30), "x": x})
+
+
 def link_without_timevar_data():
     rng = np.random.default_rng(5)
     time = rng.uniform(0.0, 3.0, 30)
@@ -203,3 +217,8 @@ class TestUnevaluableModel:
         from jointfit.evaluator import EvalError
         with pytest.raises(EvalError, match="without a time"):
             fit_spec(LINK_WITHOUT_TIMEVAR, link_without_timevar_data())
+
+    def test_maximize_raises_the_user_family_error(self):
+        register_user_family("needs_time", needs_time, replace=True)
+        with pytest.raises(UserFamilyError, match="submodel has no timevar"):
+            fit_spec(NEEDS_TIME, needs_time_data())
