@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import integrate_to
+from .quadrature import Frame, integrate_to
 
 _INTEG_GL_POINTS = 30
 
@@ -89,10 +89,6 @@ def orthogonalize(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return shift, mat
 
 
-def _pos3(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) ** 3
-
-
 @dataclass
 class RcsBasis:
     knots: np.ndarray
@@ -122,29 +118,17 @@ class RcsBasis:
             cols.append(np.zeros_like(x))
         elif order == "integral":
             cols.append(0.5 * x**2)
+        # each spline column is scale * (p(x - kj) - lam p(x - kmin)
+        # - (1 - lam) p(x - kmax)) with p(u) = max(u, 0)**power; the two
+        # boundary terms are the same for every column
+        power, scale = {"value": (3, 1.0), "d1": (2, 3.0), "d2": (1, 6.0),
+                        "integral": (4, 0.25)}[order]
+        pmin = np.maximum(x - kmin, 0.0) ** power
+        pmax = np.maximum(x - kmax, 0.0) ** power
         for kj in k[1:-1]:
             lam = (kmax - kj) / (kmax - kmin)
-            if order == "value":
-                v = _pos3(x - kj) - lam * _pos3(x - kmin) - (1 - lam) * _pos3(x - kmax)
-            elif order == "d1":
-                v = 3.0 * (
-                    np.maximum(x - kj, 0) ** 2
-                    - lam * np.maximum(x - kmin, 0) ** 2
-                    - (1 - lam) * np.maximum(x - kmax, 0) ** 2
-                )
-            elif order == "d2":
-                v = 6.0 * (
-                    np.maximum(x - kj, 0)
-                    - lam * np.maximum(x - kmin, 0)
-                    - (1 - lam) * np.maximum(x - kmax, 0)
-                )
-            else:  # integral in x from 0, valid for non-negative knots
-                v = 0.25 * (
-                    np.maximum(x - kj, 0) ** 4
-                    - lam * np.maximum(x - kmin, 0) ** 4
-                    - (1 - lam) * np.maximum(x - kmax, 0) ** 4
-                )
-            cols.append(v)
+            cols.append(scale * (np.maximum(x - kj, 0.0) ** power
+                                 - lam * pmin - (1 - lam) * pmax))
         return np.column_stack(cols)
 
     def _raw(self, t: np.ndarray, order: str) -> np.ndarray:
@@ -174,8 +158,8 @@ class RcsBasis:
         for a, c in zip(cuts[:-1], cuts[1:]):
             length = np.clip(t, a, c) - a
             out[:, 1:] += integrate_to(
-                lambda r, u: self._raw_x(np.log(a + u), "value")[:, 1:],
-                rows, length, _INTEG_GL_POINTS)
+                lambda block: self._raw_x(np.log(a + block.t), "value")[:, 1:],
+                Frame(rows, length), _INTEG_GL_POINTS)
         return out
 
     def eval(self, t: np.ndarray, order: str = "value") -> np.ndarray:

@@ -7,6 +7,10 @@ chunks of top-level clusters; chunks may be computed on a thread pool but
 are always reduced in cluster order, so results are independent of the
 worker count.
 
+Each chunk keeps one quadrature.Frame per submodel, of its observed rows,
+times and responses, in which the evaluator keeps every value that does
+not depend on the parameters, so each is computed once per fit.
+
 Within a chunk the submodels' per-row contributions on the full node grid
 are summed per row, then reduced one level at a time, lowest first.  Each
 level keeps one integer label array giving the chunk-local cluster of each
@@ -76,6 +80,7 @@ class LikelihoodEngine:
         self.spec = evaluator.spec
         self.data = evaluator.data
         self.threads = max(1, threads)
+        self.projection_warned = False
         self.node_sets: list[NodeSet] = []
         for k, level in enumerate(self.spec.levels):
             r = len(self.spec.re_layout[level])
@@ -109,17 +114,17 @@ class LikelihoodEngine:
                            for s in range(0, max(n, 1), 4096)]
 
     def _make_chunk(self, rows):
-        """A chunk's rows, where each submodel's observed rows fall among
-        them, and one label array per level for the reduction."""
+        """A chunk's rows, one kept frame per submodel of the chunk's
+        observed rows, and one label array per level for the reduction."""
         pos = np.full(self.data.n_rows, -1)
         pos[rows] = np.arange(len(rows))
-        # per submodel, the chunk's positions among the submodel's observed
-        # rows and the chunk-local positions of those rows
+        # per submodel, the chunk-local positions of its observed rows in
+        # the chunk and the kept frame of those rows
         subs = []
-        for info in self.ev.subs:
+        for i, info in enumerate(self.ev.subs):
             local = pos[info.rv.observed_rows]
             sel = np.flatnonzero(local >= 0)
-            subs.append((sel, local[sel]))
+            subs.append((local[sel], self.ev.observed_frame(i, sel, keep=True)))
         # labels[k]: the chunk-local level-k cluster of each unit one level
         # down (a row at the lowest level, else a level-(k+1) cluster)
         labels = []
@@ -138,7 +143,8 @@ class LikelihoodEngine:
         for level in self.spec.levels:
             ls = np.asarray([params[i] for i in self.ev.layout.level_log_sd[level]])
             cr = np.asarray([params[i] for i in self.ev.layout.level_corr[level]])
-            out[level] = CovarianceParam(self.spec.covariance, ls, cr)
+            # one projection warning per engine, so per fit
+            out[level] = CovarianceParam(self.spec.covariance, ls, cr, self.projection_warned)
         return out
 
     def draws(self, params) -> dict[str, np.ndarray]:
@@ -150,6 +156,7 @@ class LikelihoodEngine:
             if not names:
                 continue
             b = transform_nodes(self.node_sets[k], covs[level])  # (q_k, d)
+            self.projection_warned |= covs[level].warned
             for j, name in enumerate(names):
                 out[name] = b[self._grid_idx[k], j]
         return out
@@ -168,9 +175,9 @@ class LikelihoodEngine:
         chunk = self.chunks[chunk_id]
         n = len(chunk["rows"])
         cur = np.zeros((n, self.nq))
-        for i, (sel, local) in enumerate(chunk["subs"]):
-            if len(sel):  # a submodel's chunk positions are unique
-                cur[local] += self.ev.loglik_matrix(params, i, draws, obs_sel=sel)
+        for i, (local, at) in enumerate(chunk["subs"]):
+            if len(local):  # a submodel's chunk positions are unique
+                cur[local] += self.ev.loglik_matrix(params, i, draws, at)
 
         # nested reduction, lowest level inward: sum each cluster's units,
         # then integrate the cluster over the level's nodes

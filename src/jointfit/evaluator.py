@@ -5,6 +5,12 @@ spline/fp bases from the data, and evaluates eta(t) and its time
 derivatives/integral at any (row, time, random-effect draw) combination,
 including cross-submodel EV/XB links.  Also assembles the per-observation
 log-likelihood matrices used by the estimation engine.
+
+Every evaluation takes a quadrature.Frame, the rows and times to evaluate
+at.  A kept frame (one per chunk and submodel of the likelihood engine)
+keeps basis columns and the time variable per element and order and,
+except on a node block, each column's static values; link values depend
+on the parameters and are never kept.  A transient frame keeps nothing.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +21,7 @@ from . import families
 from .basis import FpBasis, RcsBasis, rcs_knots
 from .data import Dataset, ResponseView, response_view
 from .formula import Element, ModelSpec, SpecError
-from .quadrature import integrate_to
+from .quadrature import Frame, integrate_to
 from .userfam import UserFamilyContext, get_user_family
 
 _LINK_BASE = {"EV": 0, "dEV": 1, "d2EV": 2, "iEV": -1,
@@ -246,11 +252,21 @@ class Evaluator:
     def n_params(self) -> int:
         return self.layout.n_params
 
-    def _factor_values(self, params, el, rows, t, draws, order):
-        """Every column of one time-varying element at times t: (n, df) for a
-        spline/fp basis, (n, 1) for the time variable, (n, nq) for a link."""
+    def _factor(self, params, el, at, draws, order, calls):
+        """Every column of one time-varying element on a frame: (n, df) for
+        a spline/fp basis, (n, 1) for the time variable, (n, nq) for a link.
+        Kept by a kept frame, except link values, which go to the per-call
+        table calls with every value of a transient frame."""
+        table = calls if el.kind == "link" or at.kept is None else at.kept
+        key = (id(el), order)
+        if key not in table:
+            table[key] = self._factor_values(params, el, at, draws, order)
+        return table[key]
+
+    def _factor_values(self, params, el, at, draws, order):
         if el.kind == "link":
-            return self._link_eval(params, el, rows, t, draws, order)
+            return self._link_eval(params, el, at, draws, order)
+        t = at.t
         if el.kind == "variable":
             if order == "value":
                 out = t
@@ -263,16 +279,16 @@ class Evaluator:
             return out[:, None]
         return self.basis_of[id(el)].eval(t, order)
 
-    def _link_eval(self, params, el, rows, t, draws, order):
+    def _link_eval(self, params, el, at, draws, order):
         base = _LINK_BASE[el.link_kind]
         req = _ORDER_NUM[order]
         is_ev = el.link_kind.endswith("EV")
         target = el.target_index
 
-        def raw(ordname, rr=rows, tt=t):
+        def raw(ordname, fr=at):
             if is_ev:
-                return self.expval(params, target, rr, tt, draws, ordname)
-            return self.eta(params, target, rr, tt, draws, ordname)
+                return self.expval(params, target, fr, draws, ordname)
+            return self.eta(params, target, fr, draws, ordname)
 
         if req == 0:
             total = base
@@ -286,34 +302,33 @@ class Evaluator:
             if base == 0:
                 total = -1
             else:
-                return integrate_to(lambda rr, tt: raw(_NUM_ORDER[base], rr, tt),
-                                    rows, t, TIME_GL_POINTS)
+                return integrate_to(lambda fr: raw(_NUM_ORDER[base], fr),
+                                    at, TIME_GL_POINTS)
         return raw(_NUM_ORDER[total])
 
-    def eta(self, params, sub_idx, rows, t, draws, order="value"):
-        """Complex predictor (or its time derivative/integral): (n, nq).
+    def eta(self, params, sub_idx, at: Frame, draws, order="value"):
+        """Complex predictor (or its time derivative/integral) on a frame:
+        (n, nq).
 
         Each time-varying element is evaluated once per call, for every
-        column that uses it; nothing is kept between calls."""
+        column that uses it; a kept frame keeps the values that do not
+        depend on the parameters for later calls."""
         info = self.subs[sub_idx]
         nq = 1
         if draws:
             nq = len(next(iter(draws.values())))
-        n = len(rows)
-        acc = np.zeros((n, nq))
-        if t is not None:
-            t = np.asarray(t, dtype=float)
-        table: dict[tuple[int, str], np.ndarray] = {}
+        rows, t = at.rows, at.t
+        acc = np.zeros((len(rows), nq))
+        calls: dict[tuple[int, str], np.ndarray] = {}
 
         def factor(el, bi, forder):
-            key = (id(el), forder)
-            if key not in table:
-                table[key] = self._factor_values(params, el, rows, t, draws, forder)
-            return _column(table[key], bi)
+            return _column(self._factor(params, el, at, draws, forder, calls), bi)
 
-        for col in info.columns:
+        def make_statics():  # not kept on a node block: one copy per node
+            return [col.static[rows] for col in info.columns]
+        statics = make_statics() if at.block else at.keep(("static", sub_idx), make_statics)
+        for col, s in zip(info.columns, statics):
             coef = 1.0 if col.param is None else params[col.param]
-            s = col.static[rows]
             if col.re_names:
                 r = np.ones(nq)
                 for name in col.re_names:
@@ -339,33 +354,33 @@ class Evaluator:
                     el, bi = tf[0]
                     v = base * factor(el, bi, "integral")
                 else:
-                    def prod_val(rr, tt):
-                        out = None
+                    def prod_val(block):
+                        out, block_calls = None, {}
                         for el, bi in tf:
-                            fv = _column(self._factor_values(params, el, rr, tt, draws,
-                                                             "value"), bi)
+                            fv = _column(self._factor(params, el, block, draws, "value",
+                                                      block_calls), bi)
                             out = fv if out is None else out * fv
                         return out
-                    v = base * integrate_to(prod_val, rows, t, TIME_GL_POINTS)
+                    v = base * integrate_to(prod_val, at, TIME_GL_POINTS)
             acc = acc + coef * v
         return acc
 
-    def expval(self, params, sub_idx, rows, t, draws, order="value"):
+    def expval(self, params, sub_idx, at: Frame, draws, order="value"):
         """Expected response of a submodel and its time derivatives/integral."""
         fam = self.spec.submodels[sub_idx].family
         if families.FAMILIES[fam].link is None:
             raise EvalError(f"expected value undefined for family {fam!r}")
         if order == "integral":
             return integrate_to(
-                lambda rr, tt: self.expval(params, sub_idx, rr, tt, draws, "value"),
-                rows, t, TIME_GL_POINTS)
-        ev = self.eta(params, sub_idx, rows, t, draws, "value")
+                lambda fr: self.expval(params, sub_idx, fr, draws, "value"),
+                at, TIME_GL_POINTS)
+        ev = self.eta(params, sub_idx, at, draws, "value")
         if order == "value":
             return families.mean_value(fam, ev)
-        e1 = self.eta(params, sub_idx, rows, t, draws, "d1")
+        e1 = self.eta(params, sub_idx, at, draws, "d1")
         if order == "d1":
             return families.mean_d1(fam, ev) * e1
-        e2 = self.eta(params, sub_idx, rows, t, draws, "d2")
+        e2 = self.eta(params, sub_idx, at, draws, "d2")
         return families.mean_d2(fam, ev) * e1**2 + families.mean_d1(fam, ev) * e2
 
     # ------------------------------------------------------------------
@@ -375,81 +390,89 @@ class Evaluator:
     def _ap(self, params, sub_idx):
         return np.asarray([params[k] for k in self.subs[sub_idx].ap_idx])
 
-    def hazard(self, params, sub_idx, rows, t, draws):
+    def hazard(self, params, sub_idx, at: Frame, draws):
         sub = self.spec.submodels[sub_idx]
         if not sub.is_survival:
             raise EvalError(f"hazard undefined for family {sub.family!r}")
         ap = self._ap(params, sub_idx)
-        ev = self.eta(params, sub_idx, rows, t, draws, "value")
+        ev = self.eta(params, sub_idx, at, draws, "value")
         if families.FAMILIES[sub.family].log_hazard is None:  # rp: eta is log H
-            d1 = self.eta(params, sub_idx, rows, t, draws, "d1")
+            d1 = self.eta(params, sub_idx, at, draws, "d1")
             return d1 * np.exp(ev)
-        off = families.log_hazard_offset(sub.family, t, ap)
+        off = families.log_hazard_offset(sub.family, at.t, ap)
         return np.exp(ev + off[:, None])
 
-    def cumhazard(self, params, sub_idx, rows, t, draws):
+    def cumhazard(self, params, sub_idx, at: Frame, draws):
         sub = self.spec.submodels[sub_idx]
         if not sub.is_survival:
             raise EvalError(f"cumulative hazard undefined for family {sub.family!r}")
         ap = self._ap(params, sub_idx)
         fam = families.FAMILIES[sub.family]
         if fam.log_hazard is None:  # rp: eta is log H
-            ev = self.eta(params, sub_idx, rows, t, draws, "value")
+            ev = self.eta(params, sub_idx, at, draws, "value")
             return np.exp(ev)
         if fam.cumhazard is not None and not self.subs[sub_idx].has_time:
-            ev = self.eta(params, sub_idx, rows, t, draws, "value")
-            lam0 = families.baseline_cumhazard_factor(sub.family, t, ap)
+            ev = self.eta(params, sub_idx, at, draws, "value")
+            lam0 = families.baseline_cumhazard_factor(sub.family, at.t, ap)
             return np.exp(ev) * lam0[:, None]
-        return integrate_to(lambda rr, tt: self.hazard(params, sub_idx, rr, tt, draws),
-                            rows, t, TIME_GL_POINTS)
+        return integrate_to(lambda fr: self.hazard(params, sub_idx, fr, draws),
+                            at, TIME_GL_POINTS)
 
-    def survival(self, params, sub_idx, rows, t, draws):
-        return np.exp(-self.cumhazard(params, sub_idx, rows, t, draws))
+    def survival(self, params, sub_idx, at: Frame, draws):
+        return np.exp(-self.cumhazard(params, sub_idx, at, draws))
 
     # ------------------------------------------------------------------
     # log-likelihood
     # ------------------------------------------------------------------
 
-    def loglik_matrix(self, params, sub_idx, draws, obs_sel=None):
-        """Per-observation log-likelihood contributions, (n_obs, nq).
+    def observed_frame(self, sub_idx, sel=slice(None), keep=False) -> Frame:
+        """Frame of a submodel's observed rows (the selection sel of them),
+        their times and their responses.  The time is the response time of
+        a survival submodel, else the timevar (None without one)."""
+        sub = self.spec.submodels[sub_idx]
+        rv = self.subs[sub_idx].rv
+        rows, y = rv.observed_rows[sel], rv.values[sel]
+        if families.FAMILIES[sub.family].survival:
+            t = y[:, 0]
+        else:
+            t = self.data.column(sub.timevar)[rows] if sub.timevar else None
+        return Frame(rows, t, y, keep)
 
-        obs_sel selects a subset of the submodel's observed rows (used by
-        the chunked likelihood engine).
+    def loglik_matrix(self, params, sub_idx, draws, at=None):
+        """Per-observation log-likelihood contributions, (n_obs, nq), on a
+        frame from observed_frame: the likelihood engine passes each chunk's
+        kept frame; at=None evaluates every observed row on a transient one.
         """
         sub = self.spec.submodels[sub_idx]
-        info = self.subs[sub_idx]
-        rows = info.rv.observed_rows
-        y = info.rv.values
-        if obs_sel is not None:
-            rows = rows[obs_sel]
-            y = y[obs_sel]
+        if at is None:
+            at = self.observed_frame(sub_idx)
+        rows, y = at.rows, at.y
         fam = families.FAMILIES[sub.family]
         if not fam.survival:
-            tv = self.data.column(sub.timevar)[rows] if sub.timevar else None
             if fam.user:
-                ctx = UserFamilyContext(self, params, sub_idx, rows, tv, draws, y)
+                ctx = UserFamilyContext(self, params, sub_idx, at, draws)
                 out = np.asarray(get_user_family(sub.userf)(ctx))
                 nq = len(next(iter(draws.values()))) if draws else 1
                 return np.broadcast_to(out, (len(rows), nq)).copy()
-            ev = self.eta(params, sub_idx, rows, tv, draws, "value")
+            ev = self.eta(params, sub_idx, at, draws, "value")
             out = families.scalar_loglik(sub.family, y, ev, self._ap(params, sub_idx))
             return np.where(np.isnan(out), -np.inf, out)
         # survival contribution: d * log h(t) - H(t)
-        t, d = y[:, 0], y[:, 1]
+        d = y[:, 1]
         ap = self._ap(params, sub_idx)
-        H = self.cumhazard(params, sub_idx, rows, t, draws)
+        H = self.cumhazard(params, sub_idx, at, draws)
         ll = -H
         ev_idx = d > 0
         if ev_idx.any():
-            erows = rows[ev_idx]
-            et = t[ev_idx]
+            events = at.child(("events",), lambda: (rows[ev_idx], at.t[ev_idx]))
+            erows, et = events.rows, events.t
             if fam.log_hazard is None:  # rp
-                ev = self.eta(params, sub_idx, erows, et, draws, "value")
-                d1 = self.eta(params, sub_idx, erows, et, draws, "d1")
+                ev = self.eta(params, sub_idx, events, draws, "value")
+                d1 = self.eta(params, sub_idx, events, draws, "d1")
                 with np.errstate(divide="ignore", invalid="ignore"):
                     logh = np.where(d1 > 0, np.log(np.maximum(d1, 1e-300)) + ev, -np.inf)
             else:
-                evv = self.eta(params, sub_idx, erows, et, draws, "value")
+                evv = self.eta(params, sub_idx, events, draws, "value")
                 off = families.log_hazard_offset(sub.family, et, ap)
                 logh = evv + off[:, None]
             if sub.bhazard_var is not None:

@@ -16,7 +16,7 @@ from .data import Dataset, build_levels
 from .estimation import FitResult, LikelihoodEngine, deserialize_bases
 from .evaluator import EvalError, Evaluator
 from .formula import parse_spec_text, validate_spec
-from .quadrature import integrate_to
+from .quadrature import Frame, integrate_to
 
 CIF_GL_POINTS = 50
 
@@ -86,33 +86,33 @@ def _draws_weights(model: FittedModel, type_: str):
     return model.engine.draws(model.params), model.engine.weights
 
 
-def _total_cumhazard(model: FittedModel, rows, u, draws, causes) -> np.ndarray:
-    return sum(model.ev.cumhazard(model.params, c, rows, u, draws) for c in causes)
+def _total_cumhazard(model: FittedModel, at, draws, causes) -> np.ndarray:
+    return sum(model.ev.cumhazard(model.params, c, at, draws) for c in causes)
 
 
-def cif(model: FittedModel, cause: int, rows, t, draws, causes) -> np.ndarray:
-    """Cause-specific cumulative incidence over (0, t], (n, nq)."""
+def cif(model: FittedModel, cause: int, at, draws, causes) -> np.ndarray:
+    """Cause-specific cumulative incidence over (0, at.t], (n, nq)."""
     return integrate_to(
-        lambda r, u: model.ev.hazard(model.params, cause, r, u, draws)
-        * np.exp(-_total_cumhazard(model, r, u, draws, causes)),
-        rows, t, CIF_GL_POINTS)
+        lambda fr: model.ev.hazard(model.params, cause, fr, draws)
+        * np.exp(-_total_cumhazard(model, fr, draws, causes)),
+        at, CIF_GL_POINTS)
 
 
-def timelost(model: FittedModel, cause: int, rows, t, draws, causes) -> np.ndarray:
-    """Integral of the cause's CIF over (0, t] by nested quadrature."""
-    return integrate_to(lambda r, u: cif(model, cause, r, u, draws, causes),
-                        rows, t, CIF_GL_POINTS)
+def timelost(model: FittedModel, cause: int, at, draws, causes) -> np.ndarray:
+    """Integral of the cause's CIF over (0, at.t] by nested quadrature."""
+    return integrate_to(lambda fr: cif(model, cause, fr, draws, causes),
+                        at, CIF_GL_POINTS)
 
 
-def totaltimelost(model: FittedModel, rows, t, draws, causes) -> np.ndarray:
-    """Integral of 1 - S over (0, t], S the survival from all causes: the
+def totaltimelost(model: FittedModel, at, draws, causes) -> np.ndarray:
+    """Integral of 1 - S over (0, at.t], S the survival from all causes: the
     sum of the causes' timelost in one integral instead of nested ones."""
     return integrate_to(
-        lambda r, u: -np.expm1(-_total_cumhazard(model, r, u, draws, causes)),
-        rows, t, CIF_GL_POINTS)
+        lambda fr: -np.expm1(-_total_cumhazard(model, fr, draws, causes)),
+        at, CIF_GL_POINTS)
 
 
-def _stat_matrix(model: FittedModel, req: PredictRequest, rows, t, draws) -> np.ndarray:
+def _stat_matrix(model: FittedModel, req: PredictRequest, at, draws) -> np.ndarray:
     spec = model.spec
     p = model.params
     m = req.predmodel - 1
@@ -123,19 +123,19 @@ def _stat_matrix(model: FittedModel, req: PredictRequest, rows, t, draws) -> np.
         raise EvalError(f"statistic {stat!r} needs a survival prediction submodel")
 
     if stat == "eta":
-        return model.ev.eta(p, m, rows, t, draws, "value")
+        return model.ev.eta(p, m, at, draws, "value")
     if stat == "mu":
         if families.FAMILIES[sub.family].link is None:
             raise EvalError(f"mu is undefined for family {sub.family!r}")
-        return families.mean_value(sub.family, model.ev.eta(p, m, rows, t, draws, "value"))
+        return families.mean_value(sub.family, model.ev.eta(p, m, at, draws, "value"))
     if stat == "hazard":
-        return model.ev.hazard(p, m, rows, t, draws)
+        return model.ev.hazard(p, m, at, draws)
     if stat == "chazard":
-        return model.ev.cumhazard(p, m, rows, t, draws)
+        return model.ev.cumhazard(p, m, at, draws)
     if stat == "logchazard":
-        return np.log(model.ev.cumhazard(p, m, rows, t, draws))
+        return np.log(model.ev.cumhazard(p, m, at, draws))
     if stat == "survival":
-        return model.ev.survival(p, m, rows, t, draws)
+        return model.ev.survival(p, m, at, draws)
 
     causes = [c - 1 for c in req.causes] if req.causes else _survival_indices(spec)
     if not causes:
@@ -146,13 +146,13 @@ def _stat_matrix(model: FittedModel, req: PredictRequest, rows, t, draws) -> np.
     if stat == "cif":
         if m not in causes:
             raise EvalError("predmodel must be one of the causes for cif")
-        return cif(model, m, rows, t, draws, causes)
+        return cif(model, m, at, draws, causes)
     if stat == "timelost":
-        return timelost(model, m, rows, t, draws, causes)
+        return timelost(model, m, at, draws, causes)
     if stat == "totaltimelost":
-        return totaltimelost(model, rows, t, draws, causes)
+        return totaltimelost(model, at, draws, causes)
     if stat == "rmst":
-        return np.asarray(t, dtype=float)[:, None] - totaltimelost(model, rows, t, draws, causes)
+        return at.t[:, None] - totaltimelost(model, at, draws, causes)
     raise EvalError(f"unknown statistic {req.statistic!r}")
 
 
@@ -173,7 +173,8 @@ def predict_stat(model: FittedModel, req: PredictRequest) -> dict[str, np.ndarra
     t = (np.broadcast_to(np.asarray(req.times, dtype=float), (len(rows),)).copy()
          if req.times is not None else _default_times(base, m, rows))
     draws, weights = _draws_weights(base, req.type)
-    vals = _stat_matrix(base, req, rows, t, draws)
+    # a transient frame: a prediction keeps no values between calls
+    vals = _stat_matrix(base, req, Frame(rows, t), draws)
     out = vals @ weights
     return {"rows": rows, "times": t, "values": out}
 

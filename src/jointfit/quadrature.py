@@ -3,9 +3,13 @@
 Random-effect integrals use nodes in standard-normal space (Gauss-Hermite
 product rules, Halton/Sobol quasi-random sequences, or plain Monte Carlo
 draws), which are rescaled by the current random-effect Cholesky factor at
-every likelihood evaluation.  Time integrals use Gauss-Legendre rules.
+every likelihood evaluation.  Time integrals use Gauss-Legendre rules over
+a Frame, the rows and times at which a predictor is evaluated; a frame
+kept by the likelihood engine keeps the node blocks it derives and the
+parameter-free values evaluated there, a transient frame keeps nothing.
 """
 
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -62,26 +66,66 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def integrate_to(fn, rows, t, n: int) -> np.ndarray:
-    """n-point Gauss-Legendre integral of fn over (0, t], per row.
+class Frame:
+    """Rows and times at which a predictor is evaluated, with their
+    responses y when the frame holds a submodel's observations.
 
-    fn(rows, u) maps row indices and equally many times to a (len(rows), k)
-    array.  It is called once per block of nodes: the block's times are
-    stacked node-major and the rows tiled to match.  The first block is one
-    node, which gives the width k; later blocks hold as many nodes as fit
-    in TIME_BLOCK_DOUBLES output values.  Nodes are clamped to at least
-    1e-300, so fn may take logs of time, and the node terms are summed in
-    node order, so the result does not depend on the blocking.
+    A kept frame (keep=True), one per chunk and submodel of the likelihood
+    engine, keeps, filled on first use, the values there that do not depend
+    on the parameters, its node-block children and its event-row subset.  A
+    node block (block=True) derives only transient frames, so a nested time
+    integral keeps rows x n points, not rows x n^2.  A transient frame,
+    built for a prediction or an explicit-time call, keeps nothing.
+    """
+
+    def __init__(self, rows, t, y=None, keep=False, block=False):
+        self.rows = rows
+        self.t = None if t is None else np.asarray(t, dtype=float)
+        self.y = y
+        self.kept = {} if keep else None
+        self.block = block
+
+    def keep(self, key, make):
+        """make(), kept under key by a kept frame and reused after."""
+        if self.kept is None:
+            return make()
+        if key not in self.kept:
+            self.kept[key] = make()
+        return self.kept[key]
+
+    def child(self, key, make, block=False):
+        """The frame of the (rows, t) pair make() returns, kept under key
+        and itself kept when this frame is kept and not a node block."""
+        if self.block:
+            return Frame(*make())
+        return self.keep(key, lambda: Frame(*make(), keep=self.kept is not None,
+                                            block=block))
+
+
+def integrate_to(fn, at: Frame, n: int) -> np.ndarray:
+    """n-point Gauss-Legendre integral of fn over (0, at.t], per row.
+
+    fn(block) maps a frame of row indices and equally many times to a
+    (len(block.rows), k) array.  It is called once per block of nodes: the
+    block's times are stacked node-major and the rows tiled to match.  The
+    first block is one node, which gives the width k; later blocks hold as
+    many nodes as fit in TIME_BLOCK_DOUBLES output values.  Nodes are
+    clamped to at least 1e-300, so fn may take logs of time, and the node
+    terms are summed in node order, so the result does not depend on the
+    blocking.  A kept frame that is not itself a node block keeps each
+    block's frame, keyed by (n, first node, end node).
     """
     x, w = _legendre(n)
-    half = 0.5 * np.asarray(t, dtype=float)
+    half = 0.5 * at.t
     m = len(half)
     acc = None
     k, size = 0, 1
     while k < n:
         end = min(n, k + size)
-        u = np.maximum(half * (x[k:end, None] + 1.0), 1e-300).ravel()
-        vals = fn(np.tile(rows, end - k), u)
+        block = at.child(("nodes", n, k, end), lambda: (
+            np.tile(at.rows, end - k),
+            np.maximum(half * (x[k:end, None] + 1.0), 1e-300).ravel()), block=True)
+        vals = fn(block)
         vals = vals.reshape(end - k, m, vals.shape[-1])
         for j in range(k, end):
             val = vals[j - k] * (w[j] * half)[:, None]
@@ -145,12 +189,14 @@ class CovarianceParam:
 
     The implied covariance is L L' with L = diag(exp(log_sd)) @ chol(C)
     where C is the correlation matrix built from tanh of the correlation
-    parameters (identity structure: C = I).
+    parameters (identity structure: C = I).  A C outside the PD cone is
+    projected into it with a RuntimeWarning, unless warned is set.
     """
 
     structure: str                      # identity | diagonal | unstructured
     log_sd: np.ndarray = field(default_factory=lambda: np.zeros(0))
     atanh_corr: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    warned: bool = False  # set by the projection warning, which it silences
 
     @property
     def dim(self) -> int:
@@ -174,6 +220,12 @@ class CovarianceParam:
             # leave the PD cone; project to the nearest PD correlation
             # matrix (clip eigenvalues, restore the unit diagonal)
             w, V = np.linalg.eigh(C)
+            if not self.warned:
+                self.warned = True
+                warnings.warn(
+                    f"correlation matrix of dimension {d} is not positive definite "
+                    f"(smallest eigenvalue {w[0]:.6g}); projected to the nearest "
+                    "positive-definite correlation matrix", RuntimeWarning, stacklevel=2)
             C = V @ np.diag(np.maximum(w, 1e-6)) @ V.T
             s = 1.0 / np.sqrt(np.diag(C))
             C = s[:, None] * C * s[None, :]

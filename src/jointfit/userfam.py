@@ -9,6 +9,8 @@ integration and optimization machinery as the built-ins.
 
 import numpy as np
 
+from .quadrature import Frame
+
 _REGISTRY: dict = {}
 
 
@@ -33,26 +35,26 @@ class UserFamilyContext:
     """Read-only accessors over the current submodel's state.
 
     The `_mod` variants address any submodel by 1-based index, allowing
-    submodels to be linked from inside a user likelihood.
+    submodels to be linked from inside a user likelihood.  Called with
+    t=None they evaluate on the frame of the observations (the likelihood
+    engine's kept frame during a fit); explicit times get a transient frame.
     """
 
-    def __init__(self, evaluator, params, sub_idx, rows, t, draws, y):
+    def __init__(self, evaluator, params, sub_idx, at, draws):
         self._ev = evaluator
         self._params = params
         self._sub = sub_idx
-        self._rows = rows
-        self._t = t
+        self._at = at
         self._draws = draws
-        self._y = y
 
     def depvar(self) -> np.ndarray:
         """Response values: (n,) scalar or (n, 2) time/event matrix."""
-        return self._y.copy()
+        return self._at.y.copy()
 
     def timevar(self) -> np.ndarray:
-        if self._t is None:
+        if self._at.t is None:
             raise UserFamilyError("submodel has no timevar")
-        return np.asarray(self._t).copy()
+        return self._at.t.copy()
 
     def ap(self, i: int) -> float:
         """i-th ancillary parameter (1-based)."""
@@ -61,14 +63,14 @@ class UserFamilyContext:
             raise UserFamilyError(f"ancillary index {i} out of range (1..{len(idx)})")
         return float(self._params[idx[i - 1]])
 
-    def _times(self, t):
+    def _frame(self, t):
         if t is None:
-            return self._t
-        return np.broadcast_to(np.asarray(t, dtype=float), (len(self._rows),))
+            return self._at
+        rows = self._at.rows
+        return Frame(rows, np.broadcast_to(np.asarray(t, dtype=float), (len(rows),)))
 
     def _xzb(self, m, t, order):
-        return self._ev.eta(self._params, m, self._rows, self._times(t),
-                            self._draws, order)
+        return self._ev.eta(self._params, m, self._frame(t), self._draws, order)
 
     def xzb(self, t=None):
         return self._xzb(self._sub, t, "value")
@@ -86,8 +88,8 @@ class UserFamilyContext:
         return self._xzb(self._check_mod(m), t, "value")
 
     def expval_mod(self, m: int, t=None):
-        return self._ev.expval(self._params, self._check_mod(m), self._rows,
-                               self._times(t), self._draws, "value")
+        return self._ev.expval(self._params, self._check_mod(m), self._frame(t),
+                               self._draws, "value")
 
     def _check_mod(self, m: int) -> int:
         if not 1 <= m <= len(self._ev.subs):

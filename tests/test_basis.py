@@ -90,6 +90,29 @@ def per_row_log_integral(b, t):
     return out
 
 
+def per_knot_raw_x(b, x, order):
+    """Oracle: the raw spline columns with the boundary terms recomputed
+    for every interior knot."""
+    k = b.knots
+    kmin, kmax = k[0], k[-1]
+    first = {"value": x, "d1": np.ones_like(x), "d2": np.zeros_like(x),
+             "integral": 0.5 * x**2}[order]
+    cols = [first]
+    for kj in k[1:-1]:
+        lam = (kmax - kj) / (kmax - kmin)
+        p = lambda u: np.maximum(u, 0.0)
+        if order == "value":
+            v = p(x - kj) ** 3 - lam * p(x - kmin) ** 3 - (1 - lam) * p(x - kmax) ** 3
+        elif order == "d1":
+            v = 3.0 * (p(x - kj) ** 2 - lam * p(x - kmin) ** 2 - (1 - lam) * p(x - kmax) ** 2)
+        elif order == "d2":
+            v = 6.0 * (p(x - kj) - lam * p(x - kmin) - (1 - lam) * p(x - kmax))
+        else:
+            v = 0.25 * (p(x - kj) ** 4 - lam * p(x - kmin) ** 4 - (1 - lam) * p(x - kmax) ** 4)
+        cols.append(v)
+    return np.column_stack(cols)
+
+
 class TestRcsEval:
     def basis(self, df=3):
         rng = np.random.default_rng(0)
@@ -172,6 +195,14 @@ class TestRcsEval:
         got = b.eval(t, "integral")
         scale = np.max(np.abs(ref), axis=0)
         assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("order", ["value", "d1", "d2", "integral"])
+    @pytest.mark.parametrize("df", [1, 3, 5])
+    def test_raw_columns_match_per_knot_rule_bitwise(self, df, order):
+        rng = np.random.default_rng(6)
+        b = RcsBasis(rcs_knots(rng.uniform(0.5, 10.0, 200), df))
+        x = np.concatenate([b.knots, rng.uniform(-1.0, 12.0, 500)])
+        assert np.array_equal(b._raw_x(x, order), per_knot_raw_x(b, x, order))
 
     def test_log_time_rejects_nonpositive(self):
         b = RcsBasis(np.asarray([0.0, 1.0]), log_time=True)

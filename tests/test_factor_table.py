@@ -13,6 +13,7 @@ import jointfit as jf
 from jointfit import basis, evaluator
 from jointfit.estimation import LikelihoodEngine
 from jointfit.evaluator import Evaluator
+from jointfit.quadrature import Frame
 
 from conftest import make_dataset
 from test_time_blocks import JOINT_PARAMS, joint_data
@@ -53,9 +54,11 @@ def nested_product_deriv(tf, factor, order):
 
 
 def test_ev_linked_spline_evaluated_once_per_order(monkeypatch):
-    """The EV[y] target's spline is one basis call per eta, not one per
-    spline column: the longitudinal rows, the event times and the two
-    blocks of cumulative-hazard nodes make 4 calls."""
+    """The EV[y] target's spline is one basis call per frame, not one per
+    spline column: on a fresh engine the longitudinal rows, the event times
+    and the two blocks of cumulative-hazard nodes make 4 calls.  The
+    engine's kept frames hold those values, so the next evaluation, at
+    other parameters, makes none."""
     spec_text = ("levels = id\nip = 7\n"
                  "gaussian : y ~ rcs(time, df = 3) + M1[id]*1 | timevar=time\n"
                  "weibull : Surv(st, sd) ~ x + EV[y] | timevar=st\n")
@@ -63,7 +66,6 @@ def test_ev_linked_spline_evaluated_once_per_order(monkeypatch):
     engine = LikelihoodEngine(Evaluator(jf.validate_spec(jf.parse_spec_text(spec_text),
                                                          data), data))
     p = np.asarray(JOINT_PARAMS)
-    engine.total_loglik(p)
     calls = []
     rcs_eval = basis.RcsBasis.eval
 
@@ -74,6 +76,9 @@ def test_ev_linked_spline_evaluated_once_per_order(monkeypatch):
     monkeypatch.setattr(basis.RcsBasis, "eval", counted)
     engine.total_loglik(p)
     assert len(calls) == 4
+    calls.clear()
+    engine.total_loglik(p + 0.01)
+    assert calls == []
 
 
 # the rcs column of y has n time factors: the time variable, rcs, fp and
@@ -106,10 +111,10 @@ def factor_model(n_factors):
 @pytest.mark.parametrize("n_factors", [1, 2, 3, 4])
 def test_product_rule_fold_matches_nested_loops(n_factors, monkeypatch):
     ev, p, rows, t, draws = factor_model(n_factors)
-    fold = {o: ev.eta(p, 0, rows, t, draws, o) for o in ("d1", "d2")}
+    fold = {o: ev.eta(p, 0, Frame(rows, t), draws, o) for o in ("d1", "d2")}
     monkeypatch.setattr(evaluator, "_product_deriv", nested_product_deriv)
     for order, got in fold.items():
-        want = ev.eta(p, 0, rows, t, draws, order)
+        want = ev.eta(p, 0, Frame(rows, t), draws, order)
         assert np.all(np.isfinite(want)) and np.any(want != 0.0)
         if n_factors <= 2:
             assert np.array_equal(got, want), order

@@ -8,6 +8,7 @@ from scipy.stats import nbinom, norm, poisson
 
 from jointfit import families
 from jointfit.evaluator import Evaluator
+from jointfit.quadrature import Frame
 import jointfit as jf
 
 from conftest import make_dataset
@@ -98,8 +99,8 @@ class TestSurvivalKernels:
         p = np.asarray([0.0, np.log(lam)])
         t = np.asarray([1.0, 2.0, 7.0])
         rows = np.arange(3)
-        assert np.allclose(ev.hazard(p, 0, rows, t, {})[:, 0], lam)
-        assert np.allclose(ev.survival(p, 0, rows, t, {})[:, 0],
+        assert np.allclose(ev.hazard(p, 0, Frame(rows, t), {})[:, 0], lam)
+        assert np.allclose(ev.survival(p, 0, Frame(rows, t), {})[:, 0],
                            np.exp(-lam * t))
 
     def test_weibull_paper_survival_value(self):
@@ -112,14 +113,14 @@ class TestSurvivalKernels:
         jf.validate_spec(spec, d)
         ev = Evaluator(spec, d)
         p = np.asarray([0.09731, 0.03834, -11.68669, 0.64107])
-        S = ev.survival(p, 0, np.asarray([0]), np.asarray([4.956164]), {})
+        S = ev.survival(p, 0, Frame(np.asarray([0]), np.asarray([4.956164])), {})
         assert abs(S[0, 0] - 0.7625097) < 1e-3
 
     def test_weibull_hazard_ratio_is_exp_beta(self):
         d = make_dataset({"t": [2.0, 2.0], "d": [1, 1], "x": [0.0, 1.0]})
         ev = self.eval_with("weibull", d, None)
         p = np.asarray([0.038, -2.0, 0.4])
-        h = ev.hazard(p, 0, np.arange(2), np.asarray([3.0, 3.0]), {})[:, 0]
+        h = ev.hazard(p, 0, Frame(np.arange(2), np.asarray([3.0, 3.0])), {})[:, 0]
         assert abs(h[1] / h[0] - np.exp(0.038)) < 1e-12
         assert round(np.exp(0.038), 3) == 1.039
 
@@ -130,14 +131,14 @@ class TestSurvivalKernels:
         p = np.asarray([0.0, eta0, g])
         t = np.asarray([2.0])
         want = np.exp(eta0) * (np.exp(g * 2.0) - 1.0) / g
-        assert abs(ev.cumhazard(p, 0, np.asarray([0]), t, {})[0, 0] - want) < 1e-12
+        assert abs(ev.cumhazard(p, 0, Frame(np.asarray([0]), t), {})[0, 0] - want) < 1e-12
 
     def test_censored_contribution_is_neg_cumhazard(self):
         d = make_dataset({"t": [3.0], "d": [0.0], "x": [1.0]})
         ev = self.eval_with("exponential", d, None)
         p = np.asarray([0.5, -1.0])
         out = ev.loglik_matrix(p, 0, {})
-        H = ev.cumhazard(p, 0, np.asarray([0]), np.asarray([3.0]), {})
+        H = ev.cumhazard(p, 0, Frame(np.asarray([0]), np.asarray([3.0])), {})
         assert np.allclose(out, -H)
 
     def test_event_contribution(self):
@@ -154,7 +155,7 @@ class TestSurvivalKernels:
         for fam in ("exponential", "weibull", "gompertz"):
             ev = self.eval_with(fam, d, None)
             p = np.zeros(ev.n_params())
-            H = ev.cumhazard(p, 0, np.asarray([0]), np.asarray([1e-12]), {})
+            H = ev.cumhazard(p, 0, Frame(np.asarray([0]), np.asarray([1e-12])), {})
             assert H[0, 0] < 1e-10
 
     def test_rp_nonpositive_slope_gives_minus_inf(self):
@@ -177,7 +178,7 @@ class TestSurvivalKernels:
         ev = Evaluator(spec, d)
         # log h = 0.5 t - 1 -> H(t) = 2 e^{-1} (e^{0.5 t} - 1)
         p = np.asarray([0.5, -1.0])
-        H = ev.cumhazard(p, 0, np.asarray([0]), np.asarray([2.0]), {})
+        H = ev.cumhazard(p, 0, Frame(np.asarray([0]), np.asarray([2.0])), {})
         want = 2.0 * np.exp(-1.0) * (np.exp(1.0) - 1.0)
         assert abs(H[0, 0] - want) < 1e-8
 
@@ -207,9 +208,9 @@ class TestAnalyticVsNumericCumhazard:
         ev = Evaluator(spec, d)
         p = np.asarray([0.4, -1.0] + ap)
         t = 3.0
-        H = ev.cumhazard(p, 0, np.asarray([0]), np.asarray([t]), {})[0, 0]
+        H = ev.cumhazard(p, 0, Frame(np.asarray([0]), np.asarray([t])), {})[0, 0]
         x, w = gauss_legendre(80, 1e-9, t)
-        hz = np.asarray([ev.hazard(p, 0, np.asarray([0]), np.asarray([u]), {})[0, 0]
+        hz = np.asarray([ev.hazard(p, 0, Frame(np.asarray([0]), np.asarray([u])), {})[0, 0]
                          for u in x])
         assert abs(H - w @ hz) / H < 1e-6
 

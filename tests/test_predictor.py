@@ -5,6 +5,7 @@ import pytest
 
 import jointfit as jf
 from jointfit.evaluator import EvalError, Evaluator
+from jointfit.quadrature import Frame
 
 from conftest import make_dataset
 
@@ -40,7 +41,7 @@ class TestEtaValue:
         d.columns["age"][0] = 75.06027
         ev2 = build("gaussian : y ~ sex + age + time | timevar=time", d)
         for t in (1.0, 4.956164, 10.0):
-            got = ev2.eta(params, 0, rows, np.asarray([t]), {}, "value")[0, 0]
+            got = ev2.eta(params, 0, Frame(rows, np.asarray([t])), {}, "value")[0, 0]
             want = 2.771597 - 0.002212 * 75.06027 - 0.013541 * t
             assert abs(got - want) < 1e-10
 
@@ -48,7 +49,7 @@ class TestEtaValue:
         d = simple_data()
         ev = build("gaussian : y ~ sex + age + time | timevar=time", d)
         params = np.asarray([0.140489, -0.002212, -0.013541, 2.771597, 0.0])
-        got = ev.eta(params, 0, np.asarray([2]), np.asarray([3.0]), {}, "d1")
+        got = ev.eta(params, 0, Frame(np.asarray([2]), np.asarray([3.0])), {}, "d1")
         assert abs(got[0, 0] - (-0.013541)) < 1e-12
 
     def test_constrained_re_adds_draw_exactly(self):
@@ -56,8 +57,8 @@ class TestEtaValue:
         ev = build("levels = id\ngaussian : y ~ sex + M1[id]*1", d)
         base = np.asarray([0.3, 1.2, 0.0, 0.0])  # sex, _cons, log_sd, log_sd(M1)
         draws = {"M1": np.asarray([-0.7, 0.0, 2.5])}
-        out = ev.eta(base, 0, np.asarray([0, 1]), None, draws, "value")
-        zero = ev.eta(base, 0, np.asarray([0, 1]), None, {"M1": np.zeros(1)}, "value")
+        out = ev.eta(base, 0, Frame(np.asarray([0, 1]), None), draws, "value")
+        zero = ev.eta(base, 0, Frame(np.asarray([0, 1]), None), {"M1": np.zeros(1)}, "value")
         assert np.allclose(out - zero[:, :1], np.broadcast_to(draws["M1"], (2, 3)))
 
     def test_linearity_in_coefficients(self):
@@ -66,15 +67,15 @@ class TestEtaValue:
         p = np.asarray([0.4, -0.1, 0.2, 1.0, 0.0])
         rows = np.arange(6)
         t = d.column("time")
-        one = ev.eta(p, 0, rows, t, {}, "value")
-        two = ev.eta(2.0 * p, 0, rows, t, {}, "value")
+        one = ev.eta(p, 0, Frame(rows, t), {}, "value")
+        two = ev.eta(2.0 * p, 0, Frame(rows, t), {}, "value")
         assert np.allclose(two, 2.0 * one)
 
     def test_exposure_enters_with_unit_coefficient(self):
         d = make_dataset({"y": [2.0, 5.0], "pyrs": [10.0, 100.0]})
         ev = build("poisson : y ~ exposure(pyrs)", d)
         assert ev.layout.labels == ["_cons"]
-        out = ev.eta(np.asarray([0.7]), 0, np.asarray([0, 1]), None, {}, "value")
+        out = ev.eta(np.asarray([0.7]), 0, Frame(np.asarray([0, 1]), None), {}, "value")
         assert np.allclose(out[:, 0], 0.7 + np.log([10.0, 100.0]))
 
 
@@ -135,8 +136,8 @@ class TestDerivativeConsistency:
         rows = np.arange(3)
         t = np.linspace(1.0, 4.0, 3)
         draws = {"M1": np.zeros(1)}
-        val = lambda tt: ev.eta(params, 1, rows, tt, draws, "value")
-        d1 = ev.eta(params, 1, rows, t, draws, "d1")
+        val = lambda tt: ev.eta(params, 1, Frame(rows, tt), draws, "value")
+        d1 = ev.eta(params, 1, Frame(rows, t), draws, "d1")
         assert np.max(np.abs(d1 - fd(val, t))) < 1e-5
 
     @pytest.mark.parametrize("seed", range(5))
@@ -148,11 +149,11 @@ class TestDerivativeConsistency:
         rows = np.arange(4)
         t = np.linspace(1.0, 6.0, 4)
         for sub in (0, 1):
-            val = lambda tt: ev.eta(params, sub, rows, tt, draws, "value")
-            d1 = ev.eta(params, sub, rows, t, draws, "d1")
+            val = lambda tt: ev.eta(params, sub, Frame(rows, tt), draws, "value")
+            d1 = ev.eta(params, sub, Frame(rows, t), draws, "d1")
             assert np.max(np.abs(d1 - fd(val, t))) < 1e-5 * max(1, np.max(np.abs(d1)))
-            d1f = lambda tt: ev.eta(params, sub, rows, tt, draws, "d1")
-            d2 = ev.eta(params, sub, rows, t, draws, "d2")
+            d1f = lambda tt: ev.eta(params, sub, Frame(rows, tt), draws, "d1")
+            d2 = ev.eta(params, sub, Frame(rows, t), draws, "d2")
             assert np.max(np.abs(d2 - fd(d1f, t))) < 1e-4 * max(1, np.max(np.abs(d2)))
 
     @pytest.mark.parametrize("seed", range(3))
@@ -164,8 +165,8 @@ class TestDerivativeConsistency:
         rows = np.arange(4)
         t = np.linspace(1.5, 5.0, 4)
         for sub in (0, 1):
-            integ = lambda tt: ev.eta(params, sub, rows, tt, draws, "integral")
-            val = ev.eta(params, sub, rows, t, draws, "value")
+            integ = lambda tt: ev.eta(params, sub, Frame(rows, tt), draws, "integral")
+            val = ev.eta(params, sub, Frame(rows, t), draws, "value")
             assert np.max(np.abs(fd(integ, t) - val)) < 1e-6 * max(1, np.max(np.abs(val)))
 
 
@@ -177,8 +178,8 @@ class TestExpval:
         rows = np.arange(6)
         t = d.column("time")
         assert np.array_equal(
-            ev.expval(p, 0, rows, t, {}, "value"),
-            ev.eta(p, 0, rows, t, {}, "value"))
+            ev.expval(p, 0, Frame(rows, t), {}, "value"),
+            ev.eta(p, 0, Frame(rows, t), {}, "value"))
 
     def test_bernoulli_at_zero(self):
         d = make_dataset({"y": [1.0, 0.0], "time": [1.0, 2.0]})
@@ -186,9 +187,9 @@ class TestExpval:
         p = np.asarray([0.3, 0.0])
         # eta = 0.3 t; solve t where eta = 0 is t=0, instead check chain rule
         t = np.asarray([0.0 + 1e-12, 1.0])
-        out = ev.expval(np.asarray([0.3, 0.0]), 0, np.asarray([0, 1]), t, {}, "value")
+        out = ev.expval(np.asarray([0.3, 0.0]), 0, Frame(np.asarray([0, 1]), t), {}, "value")
         assert abs(out[0, 0] - 0.5) < 1e-9
-        d1 = ev.expval(np.asarray([0.3, 0.0]), 0, np.asarray([0, 1]), t, {}, "d1")
+        d1 = ev.expval(np.asarray([0.3, 0.0]), 0, Frame(np.asarray([0, 1]), t), {}, "d1")
         assert abs(d1[0, 0] - 0.25 * 0.3) < 1e-9
 
     def test_iev_of_constant_predictor(self):
@@ -196,14 +197,14 @@ class TestExpval:
         c = 1.7
         p = np.asarray([0.0, c, 0.0])
         t = np.asarray([3.5])
-        out = ev.expval(p, 0, np.asarray([0]), t, {}, "integral")
+        out = ev.expval(p, 0, Frame(np.asarray([0]), t), {}, "integral")
         assert abs(out[0, 0] - c * 3.5) < 1e-10
 
     def test_ev_rejected_for_survival(self):
         d = simple_data()
         ev = build("weibull : Surv(st, sd) ~ sex | timevar=st", d)
         with pytest.raises(EvalError, match="undefined"):
-            ev.expval(np.zeros(3), 0, np.asarray([0]), np.asarray([1.0]), {})
+            ev.expval(np.zeros(3), 0, Frame(np.asarray([0]), np.asarray([1.0])), {})
 
 
 class TestLinks:
@@ -220,7 +221,7 @@ class TestLinks:
         for link in ("EV", "XB"):
             ev = build(text.replace("{LINK}", link), d)
             p = np.asarray([0.2, 1.0, 0.0, 0.8, -2.0, 0.0])
-            outs.append(ev.eta(p, 1, rows, t, draws, "value"))
+            outs.append(ev.eta(p, 1, Frame(rows, t), draws, "value"))
         assert np.allclose(outs[0], outs[1])
 
     def test_link_shares_draws(self):
@@ -232,7 +233,7 @@ class TestLinks:
         p = np.asarray([0.2, 1.0, 0.0, 1.0, -2.0, 0.0])
         t = np.asarray([2.0])
         b = np.asarray([0.0, 0.9])
-        out = ev.eta(p, 1, np.asarray([0]), t, {"M1": b}, "value")
+        out = ev.eta(p, 1, Frame(np.asarray([0]), t), {"M1": b}, "value")
         # association coefficient is 1, so the draw moves eta one-for-one
         assert abs((out[0, 1] - out[0, 0]) - 0.9) < 1e-10
 
@@ -245,7 +246,7 @@ class TestLinks:
         # gaussian eta = 0.5 t + 1; survival component = (0.5 t + 1) * log t
         p = np.asarray([0.5, 1.0, 0.0, 2.0, -3.0])
         t = np.asarray([np.e])
-        out = ev.eta(p, 1, np.asarray([0]), t, {}, "value")
+        out = ev.eta(p, 1, Frame(np.asarray([0]), t), {}, "value")
         want = 2.0 * (0.5 * np.e + 1.0) * 1.0 + (-3.0)
         assert abs(out[0, 0] - want) < 1e-10
 
@@ -257,7 +258,7 @@ class TestLinks:
         p = np.asarray([0.4, 0.7, 0.0, 1.3, -2.0])
         t = np.asarray([2.5])
         # d2/dt2 of the integral of EV equals dEV = 0.4 * coef
-        out = ev.eta(p, 1, np.asarray([0]), t, {}, "d2")
+        out = ev.eta(p, 1, Frame(np.asarray([0]), t), {}, "d2")
         assert abs(out[0, 0] - 1.3 * 0.4) < 1e-10
 
     def test_derivative_through_d2ev_unsupported(self):
@@ -267,7 +268,7 @@ class TestLinks:
             "exponential : Surv(st, sd) ~ d2EV[y] | timevar=st\n", d)
         p = np.zeros(ev.n_params())
         with pytest.raises(EvalError, match="unsupported"):
-            ev.eta(p, 1, np.asarray([0]), np.asarray([1.0]), {}, "d1")
+            ev.eta(p, 1, Frame(np.asarray([0]), np.asarray([1.0])), {}, "d1")
 
 
 class TestSurvivalCalculus:
@@ -284,8 +285,8 @@ class TestSurvivalCalculus:
         params = np.asarray([0.3, 1.1, 0.05, 0.02, -1.5])
         rows = np.arange(5)
         t = np.linspace(1.0, 6.0, 5)
-        h = ev.hazard(params, 0, rows, t, {})
-        H = lambda tt: ev.cumhazard(params, 0, rows, tt, {})
+        h = ev.hazard(params, 0, Frame(rows, t), {})
+        H = lambda tt: ev.cumhazard(params, 0, Frame(rows, tt), {})
         num = fd(H, t)
         assert np.max(np.abs(h - num) / np.abs(h)) < 1e-5
 
@@ -297,9 +298,9 @@ class TestSurvivalCalculus:
         g = np.exp(0.3)
         t = np.asarray([2.0])
         lam = np.exp(-1.5)
-        assert abs(ev.hazard(p, 0, np.asarray([0]), t, {})[0, 0]
+        assert abs(ev.hazard(p, 0, Frame(np.asarray([0]), t), {})[0, 0]
                    - lam * g * 2.0 ** (g - 1.0)) < 1e-12
-        assert abs(ev.cumhazard(p, 0, np.asarray([0]), t, {})[0, 0]
+        assert abs(ev.cumhazard(p, 0, Frame(np.asarray([0]), t), {})[0, 0]
                    - lam * 2.0**g) < 1e-12
 
     def test_numeric_cumhazard_matches_analytic(self):
@@ -317,11 +318,11 @@ class TestSurvivalCalculus:
         p = np.asarray([0.4, 0.1, -1.8, 0.2])
         rows = np.arange(3)
         t = np.asarray([2.0, 3.0, 4.0])
-        H = ev.cumhazard(p, 0, rows, t, {})
+        H = ev.cumhazard(p, 0, Frame(rows, t), {})
         for i, ti in enumerate(t):
             grid = np.linspace(1e-6, ti, 2000)
             hz = np.asarray(
-                [ev.hazard(p, 0, rows[i:i + 1], np.asarray([u]), {})[0, 0]
+                [ev.hazard(p, 0, Frame(rows[i:i + 1], np.asarray([u])), {})[0, 0]
                  for u in grid])
             ref = np.trapezoid(hz, grid)
             assert abs(H[i, 0] - ref) / ref < 1e-3
@@ -331,6 +332,6 @@ class TestSurvivalCalculus:
         ev = build("gompertz : Surv(st, sd) ~ x | timevar=st", d)
         p = np.asarray([0.2, -1.0, 0.1])
         t = np.asarray([1.5])
-        H = ev.cumhazard(p, 0, np.asarray([0]), t, {})
-        S = ev.survival(p, 0, np.asarray([0]), t, {})
+        H = ev.cumhazard(p, 0, Frame(np.asarray([0]), t), {})
+        S = ev.survival(p, 0, Frame(np.asarray([0]), t), {})
         assert np.allclose(S, np.exp(-H), rtol=0, atol=1e-15)

@@ -1,13 +1,20 @@
 """Integration rules and random-effect covariance transforms."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import jointfit as jf
 from jointfit import quadrature
-from jointfit.quadrature import (CovarianceParam, gauss_hermite,
+from jointfit.estimation import LikelihoodEngine
+from jointfit.evaluator import Evaluator
+from jointfit.quadrature import (CovarianceParam, Frame, gauss_hermite,
                                  gauss_legendre, gh_product_rule, integrate_to,
                                  level_nodes, qmc_nodes, transform_nodes)
+
+from conftest import make_dataset
 
 
 def normal_moment(k: int) -> float:
@@ -100,8 +107,8 @@ class TestGaussLegendre:
 class TestIntegrateTo:
     def test_polynomial_exact_per_row(self):
         t = np.asarray([0.5, 2.0, 3.0])
-        got = integrate_to(lambda r, u: np.column_stack([u**5, 2.0 * u]),
-                           np.arange(3), t, 3)
+        got = integrate_to(lambda fr: np.column_stack([fr.t**5, 2.0 * fr.t]),
+                           Frame(np.arange(3), t), 3)
         assert got.shape == (3, 2)
         assert np.allclose(got[:, 0], t**6 / 6.0, rtol=1e-13)
         assert np.allclose(got[:, 1], t**2, rtol=1e-13)
@@ -109,22 +116,22 @@ class TestIntegrateTo:
     def test_nodes_clamped_above_zero(self):
         nodes = []
 
-        def fn(r, u):
-            nodes.append(u)
-            return u[:, None]
+        def fn(fr):
+            nodes.append(fr.t)
+            return fr.t[:, None]
 
-        integrate_to(fn, np.arange(2), np.zeros(2), 4)
+        integrate_to(fn, Frame(np.arange(2), np.zeros(2)), 4)
         assert np.all(np.concatenate(nodes) == 1e-300)
 
     def test_nodes_stacked_node_major_with_tiled_rows(self):
         rows, t, n = np.asarray([5, 7]), np.asarray([1.0, 2.0]), 4
         calls = []
 
-        def fn(r, u):
-            calls.append((r, u))
-            return np.column_stack([u, r])
+        def fn(fr):
+            calls.append((fr.rows, fr.t))
+            return np.column_stack([fr.t, fr.rows])
 
-        got = integrate_to(fn, rows, t, n)
+        got = integrate_to(fn, Frame(rows, t), n)
         # one node first to learn the width, then the rest in one block
         assert [len(u) for _, u in calls] == [2, 6]
         x, _ = np.polynomial.legendre.leggauss(n)
@@ -139,21 +146,21 @@ class TestIntegrateTo:
         monkeypatch.setattr(quadrature, "TIME_BLOCK_DOUBLES", 13)
         sizes = []
 
-        def fn(r, u):
-            sizes.append(len(u) // 3)
-            return np.column_stack([u, u**2])
+        def fn(fr):
+            sizes.append(len(fr.t) // 3)
+            return np.column_stack([fr.t, fr.t**2])
 
-        integrate_to(fn, np.arange(3), np.ones(3), 7)
+        integrate_to(fn, Frame(np.arange(3), np.ones(3)), 7)
         assert sizes == [1, 2, 2, 2]
 
     def test_empty_rows(self):
         calls = []
 
-        def fn(r, u):
-            calls.append(len(u))
-            return np.zeros((len(r), 3))
+        def fn(fr):
+            calls.append(len(fr.t))
+            return np.zeros((len(fr.rows), 3))
 
-        got = integrate_to(fn, np.arange(0), np.zeros(0), 5)
+        got = integrate_to(fn, Frame(np.arange(0), np.zeros(0)), 5)
         assert got.shape == (0, 3)
         assert calls == [0, 0]
 
@@ -246,9 +253,44 @@ class TestCovariance:
                 rng.normal(size=d),
                 rng.normal(size=d * (d - 1) // 2),
             )
-            L = cov.cholesky()
+            # the tanh correlation matrix, rows filled in parameter order
+            C = np.eye(d)
+            C[np.tril_indices(d, -1)] = np.tanh(cov.atanh_corr)
+            C = C + np.tril(C, -1).T
+            if np.linalg.eigvalsh(C)[0] < 0:
+                with pytest.warns(RuntimeWarning, match="not positive definite"):
+                    L = cov.cholesky()
+            else:
+                L = cov.cholesky()
             S = L @ L.T
             assert np.all(np.linalg.eigvalsh(S) > 0)
+
+    def test_projection_warns_and_keeps_unit_diagonal(self):
+        # tanh(2) = 0.964 twice and tanh(-2) once: no such correlation matrix
+        cov = CovarianceParam("unstructured", np.zeros(3), np.asarray([2.0, 2.0, -2.0]))
+        with pytest.warns(RuntimeWarning,
+                          match=r"dimension 3 .*smallest eigenvalue -0\.9"):
+            L = cov.cholesky()
+        S = L @ L.T
+        assert np.all(np.linalg.eigvalsh(S) > 0)
+        assert np.allclose(np.diag(S), 1.0, rtol=0.0, atol=1e-9)
+
+    def test_engine_warns_once_per_fit(self):
+        rng = np.random.default_rng(2)
+        data = make_dataset({"id": np.repeat(np.arange(10.0), 3), "x": rng.normal(size=30),
+                             "y": rng.normal(size=30)}, levels=("id",))
+        spec = jf.validate_spec(jf.parse_spec_text(
+            "levels = id\ncovariance = unstructured\nip = 3\n"
+            "gaussian : y ~ x + M1[id]*1 + M2[id]:x*1\n"), data)
+        eng = LikelihoodEngine(Evaluator(spec, data))
+        p = jf.start_values(eng)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            for corr in (30.0, 40.0, 0.0, -30.0):  # tanh is exactly +-1 at +-30
+                p[eng.ev.layout.level_corr["id"]] = corr
+                eng.total_loglik(p)
+        assert [str(w.message)[:39] for w in seen] == ["correlation matrix of dimension 2 is no"]
+        assert LikelihoodEngine(Evaluator(spec, data)).projection_warned is False
 
     def test_mc_sample_covariance_converges(self):
         cov = CovarianceParam("unstructured",

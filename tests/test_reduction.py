@@ -44,9 +44,9 @@ def scatter_chunk_loglik(self, chunk_id, params, draws):
     chunk = self.chunks[chunk_id]
     rows = chunk["rows"]
     contrib = np.zeros((len(rows), self.nq))
-    for i, (sel, local) in enumerate(chunk["subs"]):
-        if len(sel):
-            np.add.at(contrib, local, self.ev.loglik_matrix(params, i, draws, obs_sel=sel))
+    for i, (local, at) in enumerate(chunk["subs"]):
+        if len(local):
+            np.add.at(contrib, local, self.ev.loglik_matrix(params, i, draws, at))
     if not self.spec.levels:
         return contrib[:, 0]
     maps = []

@@ -13,18 +13,20 @@ from jointfit import evaluator, prediction, quadrature
 from jointfit.estimation import FitResult
 from jointfit.evaluator import Evaluator
 from jointfit.prediction import FittedModel
+from jointfit.quadrature import Frame
 
 from conftest import make_dataset
 
 
-def per_node_integrate_to(fn, rows, t, n):
-    """Oracle: one integrand call per node, summed in node order."""
+def per_node_integrate_to(fn, at, n):
+    """Oracle: one integrand call per node, on a transient frame of the
+    node's times, summed in node order."""
     x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * np.asarray(t, dtype=float)
+    half = 0.5 * at.t
     acc = None
     for k in range(n):
         u = np.maximum(half * (x[k] + 1.0), 1e-300)
-        val = fn(rows, u) * (w[k] * half)[:, None]
+        val = fn(Frame(at.rows, u)) * (w[k] * half)[:, None]
         acc = val if acc is None else acc + val
     return acc
 
@@ -95,17 +97,18 @@ def results(kind, stats=("cumhazard", "loglik", "cif", "cif_marginal")):
     out = {}
     for stat in stats:
         if stat == "cumhazard":
-            out[stat] = ev.cumhazard(p, SUB, rows, t, model.engine.draws(p))
+            out[stat] = ev.cumhazard(p, SUB, Frame(rows, t), model.engine.draws(p))
         elif stat == "loglik":
             out[stat] = np.asarray([model.engine.total_loglik(p),
                                     model.engine.total_loglik(p + 0.01)])
         elif stat == "cif":
-            out[stat] = prediction.cif(model, SUB, rows, t, fixed, causes)
+            out[stat] = prediction.cif(model, SUB, Frame(rows, t), fixed, causes)
         elif stat == "cif_marginal":
             draws = prediction._draws_weights(model, "marginal")[0]
-            out[stat] = prediction.cif(model, SUB, rows, t, draws, causes)
+            out[stat] = prediction.cif(model, SUB, Frame(rows, t), draws, causes)
         elif stat == "timelost":
-            out[stat] = prediction.timelost(model, SUB, rows[:3], t[:3], fixed, causes)
+            out[stat] = prediction.timelost(model, SUB, Frame(rows[:3], t[:3]), fixed,
+                                            causes)
     return out
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import jointfit as jf
+from jointfit.quadrature import Frame
 from jointfit.userfam import (UserFamilyError, get_user_family,
                               register_user_family)
 
@@ -101,7 +102,7 @@ class TestContextAccessors:
         p = np.asarray([0.3, 0.7])
         cap, eng = self.capture(
             d, "user : y ~ x | userf=t_probe timevar=time", p)
-        want = eng.ev.eta(p, 0, np.asarray([0, 1]), d.column("time"), {},
+        want = eng.ev.eta(p, 0, Frame(np.asarray([0, 1]), d.column("time")), {},
                           "value")
         assert np.allclose(cap["xzb"], want)
         assert np.array_equal(cap["timevar"], [1.0, 2.0])
