@@ -19,11 +19,29 @@ above it).  A single np.bincount over flattened (label, node) indices sums
 each cluster's units, adding in unit order from 0 as a scatter-add would,
 and a weighted log-sum-exp over the level's nodes integrates the cluster.
 A model without levels has a one-node grid and no reduction step.
+
+The engine evaluates a (B, p) matrix of parameter points in one pass, laid
+side by side on the node axis: column b * nq + j holds point b at node j,
+the draws of each point are its own, and the evaluator receives the
+parameters in column form (p, B * nq), where each parameter is a row that
+broadcasts like a draw (one point goes as its vector).  The reduction
+keeps the points apart and each point's total is a sum over a contiguous
+row of its cluster values, so every value has the bits of the same point
+evaluated alone.  A batch is split so that points x chunk rows x nq stays
+within BATCH_DOUBLES.
+
+The optimizer is BFGS on central-difference gradients, and the standard
+errors come from a nested central-difference Hessian.  Each gradient's 2p
+points, and all 4p^2 points of the Hessian, go to the engine in one call;
+the line search evaluates one point at a time.  The step arithmetic is the
+per-point loop's, so fits are unchanged by the batching.
 """
 
 import json
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.stats import norm
@@ -34,7 +52,17 @@ from .evaluator import Evaluator
 from .formula import ModelSpec, format_spec
 from .quadrature import CovarianceParam, NodeSet, level_nodes, transform_nodes
 
+log = logging.getLogger(__name__)
+
 CHUNK_CLUSTERS = 64
+# values of one pass: a batch of points is split so that points x chunk
+# rows x nq stays within this budget, which keeps a pass's arrays at 64 KB.
+# Batching pays where the per-call overhead dominates; a model whose one
+# point already fills the budget (shared_re: 296 rows x 35 nodes) is
+# arithmetic-bound, and 3-point passes made its fit 10 % slower.  Wider
+# passes also take more, smaller time-integral blocks
+# (quadrature.TIME_BLOCK_DOUBLES).
+BATCH_DOUBLES = 2**13
 
 
 class ConvergenceError(RuntimeError):
@@ -97,6 +125,9 @@ class LikelihoodEngine:
         for ns, idx in zip(self.node_sets, self._grid_idx):
             self.weights = self.weights * ns.weights[idx]
         self._build_chunks()
+        rows = max((len(c["rows"]) for c in self.chunks), default=1)
+        self.batch = max(1, BATCH_DOUBLES // (rows * self.nq))
+        self.calls = self.points = 0  # total_loglik calls and points so far
 
     # -- chunk partition (fixed, independent of thread count) -------------
 
@@ -148,18 +179,23 @@ class LikelihoodEngine:
         return out
 
     def draws(self, params) -> dict[str, np.ndarray]:
-        """Random-effect draw columns on the full cross-level grid."""
-        covs = self.covariance_params(params)
+        """Random-effect draw columns on the full cross-level grid, nq per
+        point: for a (B, p) matrix of points, B grids side by side, so that
+        column b * nq + j holds point b at node j."""
         out = {}
-        for k, level in enumerate(self.spec.levels):
-            names = self.spec.re_layout[level]
-            if not names:
-                continue
-            b = transform_nodes(self.node_sets[k], covs[level])  # (q_k, d)
-            self.projection_warned |= covs[level].warned
-            for j, name in enumerate(names):
-                out[name] = b[self._grid_idx[k], j]
-        return out
+        if not self.spec.levels:
+            return out
+        for x in np.atleast_2d(params):
+            covs = self.covariance_params(x)
+            for k, level in enumerate(self.spec.levels):
+                names = self.spec.re_layout[level]
+                if not names:
+                    continue
+                b = transform_nodes(self.node_sets[k], covs[level])  # (q_k, d)
+                self.projection_warned |= covs[level].warned
+                for j, name in enumerate(names):
+                    out.setdefault(name, []).append(b[self._grid_idx[k], j])
+        return {name: np.concatenate(cols) for name, cols in out.items()}
 
     def zero_draws(self) -> dict[str, np.ndarray]:
         out = {}
@@ -171,17 +207,20 @@ class LikelihoodEngine:
     # -- likelihood --------------------------------------------------------
 
     def _chunk_loglik(self, chunk_id, params, draws) -> np.ndarray:
-        """Per-top-cluster log-likelihood values for one chunk."""
+        """Per-top-cluster log-likelihood values for one chunk, of one
+        point (p,) or of B points in column form (p, B * nq)."""
         chunk = self.chunks[chunk_id]
         n = len(chunk["rows"])
-        cur = np.zeros((n, self.nq))
+        cur = np.zeros((n, params.shape[1] if params.ndim == 2 else self.nq))
         for i, (local, at) in enumerate(chunk["subs"]):
             if len(local):  # a submodel's chunk positions are unique
                 cur[local] += self.ev.loglik_matrix(params, i, draws, at)
 
         # nested reduction, lowest level inward: sum each cluster's units,
-        # then integrate the cluster over the level's nodes
-        cur = cur.reshape((n,) + self._level_counts)
+        # then integrate the cluster over the level's nodes; a batch keeps
+        # its points apart on an axis of their own
+        batch = () if params.ndim == 1 else (-1,)
+        cur = cur.reshape((n,) + batch + self._level_counts)
         for k in reversed(range(len(self.node_sets))):
             width = int(np.prod(cur.shape[1:]))
             idx = chunk["labels"][k][:, None] * width + np.arange(width)
@@ -192,11 +231,11 @@ class LikelihoodEngine:
             mx_safe = np.where(np.isfinite(mx), mx, 0.0)
             with np.errstate(divide="ignore"):
                 cur = np.log(np.sum(np.exp(agg - mx_safe) * w, axis=-1)) + mx_safe[..., 0]
-        return cur  # (n_top_clusters_in_chunk,)
+        return cur  # (n_top_clusters_in_chunk,) or (n_top_clusters_in_chunk, B)
 
-    def cluster_logliks(self, params) -> np.ndarray:
-        params = np.asarray(params, dtype=float)
-        draws = self.draws(params)
+    def _evaluate(self, params, draws) -> np.ndarray:
+        """Per-top-cluster log-likelihoods of one point (p,), (n_clusters,),
+        or of B points in column form (p, B * nq), (n_clusters, B)."""
         if self.threads == 1 or len(self.chunks) == 1:
             parts = [self._chunk_loglik(c, params, draws) for c in range(len(self.chunks))]
         else:
@@ -206,8 +245,41 @@ class LikelihoodEngine:
                     range(len(self.chunks))))
         return np.concatenate(parts) if parts else np.zeros(0)
 
-    def total_loglik(self, params) -> float:
-        return float(np.sum(self.cluster_logliks(params)))
+    def _pass(self, points) -> np.ndarray:
+        """(B, n_clusters) log-likelihoods of a (B, p) matrix of points in
+        one pass, a contiguous row per point.  One point goes to the
+        evaluator as its vector, whose entries broadcast over the nodes
+        like scalars; B > 1 points go in column form."""
+        draws = self.draws(points)
+        if len(points) == 1:
+            return self._evaluate(points[0], draws)[None, :]
+        cols = np.repeat(points.T, self.nq, axis=1)
+        return np.ascontiguousarray(self._evaluate(cols, draws).reshape(-1, len(points)).T)
+
+    def _passes(self, points):
+        """_pass of each run of self.batch rows of a (B, p) matrix."""
+        for s in range(0, len(points), self.batch):
+            yield self._pass(points[s:s + self.batch])
+
+    def cluster_logliks(self, params) -> np.ndarray:
+        """Per-top-cluster log-likelihoods: (n_clusters,) for one point
+        (p,), (n_clusters, B) for a (B, p) matrix of points."""
+        params = np.asarray(params, dtype=float)
+        if params.ndim == 1:
+            return self._evaluate(params, self.draws(params))
+        return np.vstack(list(self._passes(params))).T
+
+    def total_loglik(self, params):
+        """The marginal log-likelihood of one point (p,), a float, or of
+        each row of a (B, p) matrix of points, an array (B,)."""
+        params = np.asarray(params, dtype=float)
+        self.calls += 1
+        self.points += len(params) if params.ndim == 2 else 1
+        if params.ndim == 1:
+            return float(np.sum(self.cluster_logliks(params)))
+        # each point's total is a sum over its contiguous row, as for one
+        # point; a pass at a time, so no more than a pass is held
+        return np.concatenate([np.sum(ll, axis=1) for ll in self._passes(params)])
 
 
 # ---------------------------------------------------------------------------
@@ -269,52 +341,71 @@ HESS_STEP = 1e-4   # relative outer central-difference step of the Hessian
 
 
 def _neg_loglik(engine, params):
+    """-log L of one point (p,), or of each row of a (B, p) matrix of
+    points; _BIG where log L is not finite or the point cannot be
+    evaluated.  A batch that raises is evaluated again one point at a time,
+    so that only the points that raise get _BIG."""
     try:
         # overflow at a rejected line-search point is handled by the
         # finiteness check below, not worth a warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             ll = engine.total_loglik(params)
     except (FloatingPointError, ValueError):
-        return _BIG
-    if not np.isfinite(ll):
-        return _BIG
-    return -ll
+        if np.ndim(params) == 1:
+            return _BIG
+        return np.asarray([_neg_loglik(engine, x) for x in params])
+    if np.ndim(params) == 1:
+        return -ll if np.isfinite(ll) else _BIG
+    return np.where(np.isfinite(ll), -ll, _BIG)
+
+
+def _gradient_points(x, step_scale):
+    """The 2p central-difference points around x, x + h_i e_i then
+    x - h_i e_i for each i, and the steps h."""
+    h = np.asarray([step_scale * max(1.0, abs(v)) for v in x])
+    points = np.repeat(x[None, :], 2 * len(x), axis=0)
+    for i in range(len(x)):
+        points[2 * i, i] += h[i]
+        points[2 * i + 1, i] -= h[i]
+    return points, h
+
+
+def _gradient(values, h):
+    """Central differences from the values at _gradient_points."""
+    return (values[0::2] - values[1::2]) / (2.0 * h)
 
 
 def central_gradient(f, x, step_scale):
-    g = np.empty(len(x))
-    for i in range(len(x)):
-        h = step_scale * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
+    """Central-difference gradient of f, which maps a (B, p) matrix of
+    points to B values; all 2p points go to one call of f."""
+    points, h = _gradient_points(x, step_scale)
+    return _gradient(f(points), h)
 
 
 def central_hessian(f, x, step_scale):
-    n = len(x)
-    H = np.empty((n, n))
-    for i in range(n):
-        h = step_scale * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        gp = central_gradient(f, xp, step_scale * 0.01)
-        gm = central_gradient(f, xm, step_scale * 0.01)
-        H[i] = (gp - gm) / (2.0 * h)
+    """Central differences (outer step step_scale) of central-difference
+    gradients (inner step step_scale / 100); all 4p^2 points go to one call
+    of f."""
+    outer, h = _gradient_points(x, step_scale)
+    inner = [_gradient_points(c, step_scale * 0.01) for c in outer]
+    values = f(np.concatenate([pts for pts, _ in inner]))
+    g = [_gradient(v, hi) for v, (_, hi) in zip(np.split(values, len(outer)), inner)]
+    H = np.asarray([(g[2 * i] - g[2 * i + 1]) / (2.0 * h[i]) for i in range(len(x))])
     return 0.5 * (H + H.T)
 
 
-def _bfgs(f, x0, max_iter: int):
-    """BFGS ascent on -f with backtracking line search.
+def _bfgs(engine, x0, f0, max_iter: int):
+    """BFGS ascent on the engine's log-likelihood, minimizing f = -log L
+    with backtracking line search, from x0 where f is f0.
 
     Converged when the gradient inf-norm falls below GRAD_TOL and the
-    relative objective change falls below REL_TOL.
+    relative objective change falls below REL_TOL.  Each iteration logs a
+    debug record with the engine's counts of points and calls so far.
     """
+    f = partial(_neg_loglik, engine)
     x = np.asarray(x0, dtype=float)
     n = len(x)
-    fx = f(x)
+    fx = f0
     g = central_gradient(f, x, GRAD_STEP)
     Hinv = np.eye(n)
     converged = False
@@ -336,7 +427,7 @@ def _bfgs(f, x0, max_iter: int):
                 converged = gmax < GRAD_TOL
                 break
         alpha, ok = 1.0, False
-        for _ in range(40):
+        for halvings in range(40):
             x_new = x + alpha * p
             f_new = f(x_new)
             if f_new <= fx + 1e-4 * alpha * slope:
@@ -360,6 +451,9 @@ def _bfgs(f, x0, max_iter: int):
         if fx < best_f:
             best_x, best_f = x.copy(), fx
         it += 1
+        log.debug("iteration %d: logL %.10g, max|g| %.3g, alpha %.3g, %d halvings, "
+                  "%d points in %d engine calls", it, -fx, np.max(np.abs(g)), alpha,
+                  halvings, engine.points, engine.calls)
     if fx > best_f:
         x, fx = best_x, best_f
     if fx >= _BIG:
@@ -380,15 +474,15 @@ def maximize(spec: ModelSpec, data: Dataset, controls: FitControls | None = None
     ev = evaluator or Evaluator(spec, data)
     engine = LikelihoodEngine(ev, seed=controls.seed, threads=controls.threads)
 
-    f = lambda th: _neg_loglik(engine, th)
     x0 = start_values(engine)
     # a model that cannot be evaluated at all raises here instead of
     # leaving the search on the _BIG penalty plateau
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        engine.total_loglik(x0)
-    xhat, fhat, it, converged = _bfgs(f, x0, controls.max_iter)
+        ll0 = engine.total_loglik(x0)
+    f0 = -ll0 if np.isfinite(ll0) else _BIG
+    xhat, fhat, it, converged = _bfgs(engine, x0, f0, controls.max_iter)
 
-    H = central_hessian(f, xhat, HESS_STEP)
+    H = central_hessian(partial(_neg_loglik, engine), xhat, HESS_STEP)
     vcov = None
     try:
         vcov = np.linalg.inv(H)

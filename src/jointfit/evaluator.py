@@ -11,6 +11,12 @@ at.  A kept frame (one per chunk and submodel of the likelihood engine)
 keeps basis columns and the time variable per element and order and,
 except on a node block, each column's static values; link values depend
 on the parameters and are never kept.  A transient frame keeps nothing.
+
+Parameters come as a vector (p,), one point, or in column form (p, W):
+column c holds the parameters of the point that node column c belongs to,
+so that the likelihood engine can evaluate a batch of points side by side
+on the node axis.  params[k] is then a scalar or a row that broadcasts like
+a draw, and every result has W columns.
 """
 
 from dataclasses import dataclass, field
@@ -33,6 +39,13 @@ TIME_GL_POINTS = 30   # nodes of the cumulative-hazard and iEV time integrals
 
 class EvalError(ValueError):
     pass
+
+
+def _width(params, draws):
+    """Node columns of an evaluation: the width of a parameter row (1 for a
+    vector) or of the draws (nq), whichever is wider."""
+    width = params.shape[1] if params.ndim == 2 else 1
+    return max(width, len(next(iter(draws.values())))) if draws else width
 
 
 def _column(values, bi):
@@ -314,9 +327,7 @@ class Evaluator:
         column that uses it; a kept frame keeps the values that do not
         depend on the parameters for later calls."""
         info = self.subs[sub_idx]
-        nq = 1
-        if draws:
-            nq = len(next(iter(draws.values())))
+        nq = _width(params, draws)
         rows, t = at.rows, at.t
         acc = np.zeros((len(rows), nq))
         calls: dict[tuple[int, str], np.ndarray] = {}
@@ -399,8 +410,8 @@ class Evaluator:
         if families.FAMILIES[sub.family].log_hazard is None:  # rp: eta is log H
             d1 = self.eta(params, sub_idx, at, draws, "d1")
             return d1 * np.exp(ev)
-        off = families.log_hazard_offset(sub.family, at.t, ap)
-        return np.exp(ev + off[:, None])
+        off = families.log_hazard_offset(sub.family, at.t[:, None], ap)
+        return np.exp(ev + off)
 
     def cumhazard(self, params, sub_idx, at: Frame, draws):
         sub = self.spec.submodels[sub_idx]
@@ -413,8 +424,8 @@ class Evaluator:
             return np.exp(ev)
         if fam.cumhazard is not None and not self.subs[sub_idx].has_time:
             ev = self.eta(params, sub_idx, at, draws, "value")
-            lam0 = families.baseline_cumhazard_factor(sub.family, at.t, ap)
-            return np.exp(ev) * lam0[:, None]
+            lam0 = families.baseline_cumhazard_factor(sub.family, at.t[:, None], ap)
+            return np.exp(ev) * lam0
         return integrate_to(lambda fr: self.hazard(params, sub_idx, fr, draws),
                             at, TIME_GL_POINTS)
 
@@ -450,10 +461,7 @@ class Evaluator:
         fam = families.FAMILIES[sub.family]
         if not fam.survival:
             if fam.user:
-                ctx = UserFamilyContext(self, params, sub_idx, at, draws)
-                out = np.asarray(get_user_family(sub.userf)(ctx))
-                nq = len(next(iter(draws.values()))) if draws else 1
-                return np.broadcast_to(out, (len(rows), nq)).copy()
+                return self._user_loglik(params, sub_idx, at, draws)
             ev = self.eta(params, sub_idx, at, draws, "value")
             out = families.scalar_loglik(sub.family, y, ev, self._ap(params, sub_idx))
             return np.where(np.isnan(out), -np.inf, out)
@@ -473,8 +481,8 @@ class Evaluator:
                     logh = np.where(d1 > 0, np.log(np.maximum(d1, 1e-300)) + ev, -np.inf)
             else:
                 evv = self.eta(params, sub_idx, events, draws, "value")
-                off = families.log_hazard_offset(sub.family, et, ap)
-                logh = evv + off[:, None]
+                off = families.log_hazard_offset(sub.family, et[:, None], ap)
+                logh = evv + off
             if sub.bhazard_var is not None:
                 b = self.data.column(sub.bhazard_var)[erows]
                 logh = np.log(b[:, None] + np.exp(logh))
@@ -482,3 +490,20 @@ class Evaluator:
         # an overflowed hazard can leave inf - inf = nan; such a point is
         # invalid, not favourable
         return np.where(np.isnan(ll), -np.inf, ll)
+
+    def _user_loglik(self, params, sub_idx, at, draws):
+        """A user family's contributions, one point at a time: a context
+        gives ancillaries as floats, so each run of equal parameter columns
+        (one point of a batch) gets a context of its parameter vector and
+        its draws."""
+        fn = get_user_family(self.spec.submodels[sub_idx].userf)
+        width = _width(params, draws)
+        cols = np.asarray(params, dtype=float)
+        cols = cols if cols.ndim == 2 else cols[:, None]
+        cuts = [0, *(np.flatnonzero(np.any(cols[:, 1:] != cols[:, :-1], axis=0)) + 1), width]
+        out = np.empty((len(at.rows), width))
+        for s, e in zip(cuts[:-1], cuts[1:]):
+            point = {name: d[s:e] for name, d in draws.items()} if draws else draws
+            ctx = UserFamilyContext(self, cols[:, s], sub_idx, at, point)
+            out[:, s:e] = np.asarray(fn(ctx))
+        return out

@@ -4,6 +4,11 @@ record of all that other modules read about it (see the field comments).
 `rp` has neither a closed-form Lambda0 nor a log-hazard offset: its eta is
 the log cumulative hazard.  The module functions are one-line lookups into
 the table; the survival calculus lives in the evaluator.
+
+Every kernel is elementwise.  An ancillary ap[k] is a scalar for one
+parameter point or a row of one value per node column for a batch of
+points (see estimation.LikelihoodEngine), and times come as a column
+t (n, 1), so either broadcasts against eta (n, nq).
 """
 
 from dataclasses import dataclass
@@ -29,8 +34,8 @@ class Family:
     link: Link | None = None            # None: no mean, so no EV[] target or mu
     loglik: Callable | None = None      # scalar kernel (y (n, 1), eta, ap)
     survival: bool = False
-    cumhazard: Callable | None = None   # (t, ap) -> closed-form Lambda0(t)
-    log_hazard: Callable | None = None  # (t, ap) -> log h(t) - eta(t)
+    cumhazard: Callable | None = None   # (t (n, 1), ap) -> closed-form Lambda0(t)
+    log_hazard: Callable | None = None  # (t (n, 1), ap) -> log h(t) - eta(t)
     baseline_in_eta: bool = False       # the formula carries the time baseline
     start: Callable | None = None       # y -> (intercept, ancillary) start values
     user: bool = False                  # log-likelihood from a registered userf
@@ -84,9 +89,9 @@ def _beta(y, eta, ap):
 
 def _gompertz_lambda0(t, ap):
     gamma = ap[0]
-    if abs(gamma) < 1e-12:
-        return t
-    return np.expm1(gamma * t) / gamma
+    small = np.abs(gamma) < 1e-12
+    safe = np.where(small, 1.0, gamma)
+    return np.where(small, t, np.expm1(safe * t) / safe)
 
 
 def _weibull_offset(t, ap):
@@ -161,15 +166,17 @@ def mean_d2(family: str, eta: np.ndarray) -> np.ndarray:
 
 
 def scalar_loglik(family: str, y: np.ndarray, eta: np.ndarray, ap: np.ndarray) -> np.ndarray:
-    """Non-survival log-likelihood: y (n,), eta (n, nq), ap unrestricted."""
+    """Non-survival log-likelihood: y (n,), eta (n, nq), ap unrestricted
+    (scalars or rows of width nq)."""
     return _part(family, "loglik")(y[:, None], eta, ap)
 
 
 def baseline_cumhazard_factor(family: str, t: np.ndarray, ap: np.ndarray) -> np.ndarray:
-    """Lambda0(t), H(t) = exp(eta) * Lambda0(t) for a time-constant eta."""
+    """Lambda0(t) at t (n, 1), H(t) = exp(eta) * Lambda0(t) for a
+    time-constant eta."""
     return _part(family, "cumhazard")(t, ap)
 
 
 def log_hazard_offset(family: str, t: np.ndarray, ap: np.ndarray) -> np.ndarray:
-    """log h(t) - eta(t) for the standard survival families."""
+    """log h(t) - eta(t) at t (n, 1) for the standard survival families."""
     return _part(family, "log_hazard")(t, ap)

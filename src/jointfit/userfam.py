@@ -38,6 +38,9 @@ class UserFamilyContext:
     submodels to be linked from inside a user likelihood.  Called with
     t=None they evaluate on the frame of the observations (the likelihood
     engine's kept frame during a fit); explicit times get a transient frame.
+    A context holds one parameter point: when the likelihood engine
+    evaluates several points in one pass, each gets its own context with
+    its own draws.
     """
 
     def __init__(self, evaluator, params, sub_idx, at, draws):

@@ -11,6 +11,7 @@ its CSV fixture is present.
 import json
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -407,24 +408,28 @@ class TestCriterion8Fixture:
              "y": arr[:, 3], "z": arr[:, 4], "st": arr[:, 5],
              "d1": arr[:, 6], "d2": arr[:, 7]}, levels=("id",))
 
-    # the search may try a correlation of exactly +-1 (tanh of a large
-    # atanh_corr), which is projected back into the PD cone
-    @pytest.mark.filterwarnings("ignore:correlation matrix of dimension 2:RuntimeWarning")
+    # the search tries a correlation of exactly +-1 (tanh of a large
+    # atanh_corr), which is projected back into the PD cone with one warning
+    # per fit
     def test_four_submodel_fit_converges(self):
         start = time.perf_counter()
         d = self.sim_four_outcome(100, seed=80)
-        fit = fit_spec(
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            fit = fit_spec(
             "levels = id\n"
             "covariance = unstructured\n"
             "ip = 5\n"
-            "weibull : Surv(st, d1) ~ x + EV[y] + M2[id] | timevar=st\n"
-            "weibull : Surv(st, d2) ~ x + x:fp(st, powers = c(0)) + M1[id]"
-            " | timevar=st\n"
-            "gaussian : y ~ x + rcs(time, df = 3, orthog = TRUE) + M1[id]*1"
-            " | timevar=time\n"
-            "bernoulli : z ~ fp(time, powers = c(1)) + M2[id]*1"
-            " | timevar=time\n",
-            d, max_iter=400)
+                "weibull : Surv(st, d1) ~ x + EV[y] + M2[id] | timevar=st\n"
+                "weibull : Surv(st, d2) ~ x + x:fp(st, powers = c(0)) + M1[id]"
+                " | timevar=st\n"
+                "gaussian : y ~ x + rcs(time, df = 3, orthog = TRUE) + M1[id]*1"
+                " | timevar=time\n"
+                "bernoulli : z ~ fp(time, powers = c(1)) + M2[id]*1"
+                " | timevar=time\n",
+                d, max_iter=400)
+        projected = [w for w in seen if "correlation matrix of dimension 2" in str(w.message)]
+        assert len(projected) == 1
         assert fit.converged
         assert np.isfinite(fit.loglik)
         assert any(l.startswith("atanh_corr(") for l in fit.labels)
