@@ -7,7 +7,6 @@ not converged).
 
 import argparse
 import csv
-import os
 import sys
 
 import numpy as np
@@ -27,10 +26,22 @@ def _add_common(p):
     p.add_argument("--data", required=True, help="CSV data file")
     p.add_argument("--na-token", default="NA")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("JOINTFIT_THREADS", 1)))
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--out", default=None, help="output path")
+
+
+def _numbers(flag, text, kind=float, count=None):
+    """The comma-separated numbers of a flag's value, as kind; a
+    ParseError names the flag and the bad token."""
+    out = []
+    for tok in text.split(","):
+        try:
+            out.append(kind(tok))
+        except ValueError:
+            raise ParseError(f"{flag} expects {kind.__name__} values, got {tok!r}") from None
+    if count is not None and len(out) != count:
+        raise ParseError(f"{flag} expects {count} values, got {text!r}")
+    return out
 
 
 def _parse_at(items):
@@ -40,7 +51,7 @@ def _parse_at(items):
             k, _, v = tok.partition("=")
             if not v:
                 raise ParseError(f"--at expects name=value, got {tok!r}")
-            out[k.strip()] = float(v)
+            out[k.strip()] = _numbers("--at", v)[0]
     return out
 
 
@@ -54,8 +65,7 @@ def _load(args, spec):
 def _run_fit(spec, args):
     data = _load(args, spec)
     validate_spec(spec, data)
-    controls = FitControls(max_iter=args.max_iter, seed=args.seed,
-                           threads=args.threads)
+    controls = FitControls(max_iter=args.max_iter, seed=args.seed)
     status = 0
     try:
         fit = maximize(spec, data, controls)
@@ -77,7 +87,7 @@ def cmd_fit(args) -> int:
     else:
         spec = parse_spec_text(args.inline)
     if args.ip:
-        spec.ip = tuple(int(v) for v in args.ip.split(","))
+        spec.ip = tuple(_numbers("--ip", args.ip, int))
     if args.intmethod:
         spec.intmethod = tuple(args.intmethod.split(","))
     return _run_fit(spec, args)
@@ -91,7 +101,7 @@ def cmd_predict(args) -> int:
     contrast = None
     if args.contrast:
         name, _, vals = args.contrast.partition("=")
-        v1, v2 = (float(v) for v in vals.split(","))
+        v1, v2 = _numbers("--contrast", vals, count=2)
         contrast = (name.strip(), v1, v2)
     req = PredictRequest(
         statistic=args.stat,
@@ -99,9 +109,8 @@ def cmd_predict(args) -> int:
         type=args.type,
         at=_parse_at(args.at),
         contrast=contrast,
-        causes=tuple(int(v) for v in args.causes.split(",")) if args.causes else (),
-        times=np.asarray([float(v) for v in args.times.split(",")])
-        if args.times else None,
+        causes=tuple(_numbers("--causes", args.causes, int)) if args.causes else (),
+        times=np.asarray(_numbers("--times", args.times)) if args.times else None,
     )
     if req.times is not None and len(req.times) > 1:
         # a time grid replicates each prediction row over the grid

@@ -3,9 +3,9 @@
 The marginal log-likelihood integrates the nested random effects with
 fixed standard-normal-space node sets that are rescaled by the current
 Cholesky factor at every evaluation.  Work is partitioned into fixed
-chunks of top-level clusters; chunks may be computed on a thread pool but
-are always reduced in cluster order, so results are independent of the
-worker count.
+chunks of top-level clusters (CHUNK_CLUSTERS, or CHUNK_ROWS rows for a
+model without levels), evaluated in cluster order; a cluster's value does
+not depend on how the clusters are split.
 
 Each chunk keeps one quadrature.Frame per submodel, of its observed rows,
 times and responses, in which the evaluator keeps every value that does
@@ -39,7 +39,6 @@ per-point loop's, so fits are unchanged by the batching.
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -55,6 +54,7 @@ from .quadrature import CovarianceParam, NodeSet, level_nodes, transform_nodes
 log = logging.getLogger(__name__)
 
 CHUNK_CLUSTERS = 64
+CHUNK_ROWS = 4096  # rows per chunk of a model without levels
 # values of one pass: a batch of points is split so that points x chunk
 # rows x nq stays within this budget, which keeps a pass's arrays at 64 KB.
 # Batching pays where the per-call overhead dominates; a model whose one
@@ -75,7 +75,6 @@ class ConvergenceError(RuntimeError):
 class FitControls:
     max_iter: int = 200
     seed: int = 0
-    threads: int = 1
 
 
 @dataclass
@@ -103,11 +102,10 @@ class FitResult:
 class LikelihoodEngine:
     """Evaluates the total marginal log-likelihood for a validated spec."""
 
-    def __init__(self, evaluator: Evaluator, seed: int = 0, threads: int = 1):
+    def __init__(self, evaluator: Evaluator, seed: int = 0):
         self.ev = evaluator
         self.spec = evaluator.spec
         self.data = evaluator.data
-        self.threads = max(1, threads)
         self.projection_warned = False
         self.node_sets: list[NodeSet] = []
         for k, level in enumerate(self.spec.levels):
@@ -129,7 +127,7 @@ class LikelihoodEngine:
         self.batch = max(1, BATCH_DOUBLES // (rows * self.nq))
         self.calls = self.points = 0  # total_loglik calls and points so far
 
-    # -- chunk partition (fixed, independent of thread count) -------------
+    # -- chunk partition (bounds a pass's memory; one frame per submodel) --
 
     def _build_chunks(self):
         if self.spec.levels:
@@ -141,8 +139,8 @@ class LikelihoodEngine:
                 for s in range(0, top.n_clusters, CHUNK_CLUSTERS)]
         else:
             n = self.n_clusters = self.data.n_rows
-            self.chunks = [self._make_chunk(np.arange(s, min(s + 4096, n)))
-                           for s in range(0, max(n, 1), 4096)]
+            self.chunks = [self._make_chunk(np.arange(s, min(s + CHUNK_ROWS, n)))
+                           for s in range(0, max(n, 1), CHUNK_ROWS)]
 
     def _make_chunk(self, rows):
         """A chunk's rows, one kept frame per submodel of the chunk's
@@ -233,28 +231,16 @@ class LikelihoodEngine:
                 cur = np.log(np.sum(np.exp(agg - mx_safe) * w, axis=-1)) + mx_safe[..., 0]
         return cur  # (n_top_clusters_in_chunk,) or (n_top_clusters_in_chunk, B)
 
-    def _evaluate(self, params, draws) -> np.ndarray:
-        """Per-top-cluster log-likelihoods of one point (p,), (n_clusters,),
-        or of B points in column form (p, B * nq), (n_clusters, B)."""
-        if self.threads == 1 or len(self.chunks) == 1:
-            parts = [self._chunk_loglik(c, params, draws) for c in range(len(self.chunks))]
-        else:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                parts = list(pool.map(
-                    lambda c: self._chunk_loglik(c, params, draws),
-                    range(len(self.chunks))))
-        return np.concatenate(parts) if parts else np.zeros(0)
-
     def _pass(self, points) -> np.ndarray:
         """(B, n_clusters) log-likelihoods of a (B, p) matrix of points in
         one pass, a contiguous row per point.  One point goes to the
         evaluator as its vector, whose entries broadcast over the nodes
         like scalars; B > 1 points go in column form."""
         draws = self.draws(points)
-        if len(points) == 1:
-            return self._evaluate(points[0], draws)[None, :]
-        cols = np.repeat(points.T, self.nq, axis=1)
-        return np.ascontiguousarray(self._evaluate(cols, draws).reshape(-1, len(points)).T)
+        params = points[0] if len(points) == 1 else np.repeat(points.T, self.nq, axis=1)
+        parts = [self._chunk_loglik(c, params, draws) for c in range(len(self.chunks))]
+        ll = np.concatenate(parts) if parts else np.zeros(0)
+        return np.ascontiguousarray(ll.reshape(-1, len(points)).T)
 
     def _passes(self, points):
         """_pass of each run of self.batch rows of a (B, p) matrix."""
@@ -266,7 +252,7 @@ class LikelihoodEngine:
         (p,), (n_clusters, B) for a (B, p) matrix of points."""
         params = np.asarray(params, dtype=float)
         if params.ndim == 1:
-            return self._evaluate(params, self.draws(params))
+            return self._pass(params[None])[0]
         return np.vstack(list(self._passes(params))).T
 
     def total_loglik(self, params):
@@ -276,7 +262,7 @@ class LikelihoodEngine:
         self.calls += 1
         self.points += len(params) if params.ndim == 2 else 1
         if params.ndim == 1:
-            return float(np.sum(self.cluster_logliks(params)))
+            return float(np.sum(self._pass(params[None])[0]))
         # each point's total is a sum over its contiguous row, as for one
         # point; a pass at a time, so no more than a pass is held
         return np.concatenate([np.sum(ll, axis=1) for ll in self._passes(params)])
@@ -472,7 +458,7 @@ def maximize(spec: ModelSpec, data: Dataset, controls: FitControls | None = None
     """Fit a validated spec by maximum likelihood."""
     controls = controls or FitControls()
     ev = evaluator or Evaluator(spec, data)
-    engine = LikelihoodEngine(ev, seed=controls.seed, threads=controls.threads)
+    engine = LikelihoodEngine(ev, seed=controls.seed)
 
     x0 = start_values(engine)
     # a model that cannot be evaluated at all raises here instead of

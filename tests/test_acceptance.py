@@ -3,8 +3,8 @@
 One test class per criterion: quadrature exactness, closed-form oracle
 equivalence, integral accuracy, parameter recovery, derivative
 consistency, competing-risks identities, user-family equivalence, a
-large four-submodel fit, and bitwise reproducibility across thread
-counts.  Checks against the published clinical dataset run only when
+large four-submodel fit, and bitwise reproducibility across chunk
+partitions.  Checks against the published clinical dataset run only when
 its CSV fixture is present.
 """
 
@@ -18,6 +18,7 @@ import pytest
 from scipy.stats import norm
 
 import jointfit as jf
+from jointfit import estimation
 from jointfit.estimation import LikelihoodEngine, fit_to_json
 from jointfit.evaluator import Evaluator
 from jointfit.prediction import FittedModel, PredictRequest, predict_stat
@@ -437,12 +438,13 @@ class TestCriterion8Fixture:
 
 
 class TestCriterion9Reproducibility:
-    def test_bitwise_identical_json_across_threads(self):
+    def test_bitwise_identical_json_across_chunk_partitions(self, monkeypatch):
         d = sim_lmm(40, 4, 1.0, 0.6, sd_b=0.5, sd_e=0.4, seed=90)
         spec_text = "levels = id\ngaussian : y ~ x + M1[id]*1"
         docs = []
-        for threads in (1, 2, 8):
-            fit = fit_spec(spec_text, d, seed=11, threads=threads)
+        for size in (1, 7, 64):
+            monkeypatch.setattr(estimation, "CHUNK_CLUSTERS", size)
+            fit = fit_spec(spec_text, d, seed=11)
             docs.append(fit_to_json(fit))
         assert docs[0] == docs[1] == docs[2]
         # and the payload itself is well-formed

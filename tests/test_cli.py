@@ -175,6 +175,22 @@ class TestPredict:
         assert code == 2
 
 
+@pytest.mark.parametrize("flags, bad", [
+    (["predict", "--stat", "survival", "--times", "2", "--at", "x=abc"], "'abc'"),
+    (["predict", "--stat", "survival", "--times", "1,b"], "'b'"),
+    (["predict", "--stat", "hdifference", "--times", "2", "--contrast", "x=1"], "'1'"),
+    (["predict", "--stat", "cif", "--times", "2", "--causes", "one"], "'one'"),
+    (["fit", "--inline", "weibull : Surv(t, d) ~ x", "--ip", "7,x"], "'x'"),
+])
+def test_malformed_number_exits_2(flags, bad, fitted, surv_csv, tmp_path, capsys):
+    argv = flags + ["--data", surv_csv, "--out", str(tmp_path / "out")]
+    if flags[0] == "predict":
+        argv += ["--fit", fitted]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[-2]} ") and bad in err
+
+
 class TestMlsurv:
     def test_weibull_matches_fit(self, surv_csv, tmp_path):
         out1 = tmp_path / "a.json"

@@ -5,17 +5,19 @@ import pytest
 from scipy.stats import norm
 
 import jointfit as jf
+from jointfit import estimation
 from jointfit.estimation import (LikelihoodEngine, fit_from_json, fit_to_json,
                                  start_values, summary_table)
 from jointfit.evaluator import Evaluator
 
 from conftest import fit_spec, make_dataset, sim_lmm, sim_weibull
+from test_reduction import no_level_data
 
 
-def engine_for(text, data, seed=0, threads=1):
+def engine_for(text, data, seed=0):
     spec = jf.parse_spec_text(text)
     jf.validate_spec(spec, data)
-    return LikelihoodEngine(Evaluator(spec, data), seed=seed, threads=threads)
+    return LikelihoodEngine(Evaluator(spec, data), seed=seed)
 
 
 class TestClusterLoglik:
@@ -97,15 +99,26 @@ class TestClusterLoglik:
         assert np.isclose(eng1.total_loglik(p), eng2.total_loglik(p),
                           rtol=1e-12, atol=0.0)
 
-    def test_thread_count_bitwise_invariance(self):
-        d = sim_lmm(150, 4, 1.0, 0.5, sd_b=0.4, sd_e=0.4, seed=4)
-        text = "levels = id\ngaussian : y ~ x + M1[id]*1"
-        base = engine_for(text, d, threads=1)
-        p = start_values(base) + 0.1
-        want = base.cluster_logliks(p)
-        for threads in (2, 8):
-            got = engine_for(text, d, threads=threads).cluster_logliks(p)
-            assert np.array_equal(got, want)
+    def test_chunk_partition_bitwise_invariance(self, monkeypatch):
+        # the clusters (rows, without levels) may be split into chunks of
+        # any size: every cluster value and total keeps its bits
+        lmm = sim_lmm(150, 4, 1.0, 0.5, sd_b=0.4, sd_e=0.4, seed=4)
+        cases = [("CHUNK_CLUSTERS", "levels = id\ngaussian : y ~ x + M1[id]*1", lmm, 150,
+                  (1, 7, 64, 1000)),
+                 ("CHUNK_ROWS", "gaussian : y ~ x", no_level_data(), 5000, (999, 4096, 5000))]
+        for const, text, d, n, sizes in cases:
+            results = []
+            for size in sizes:
+                monkeypatch.setattr(estimation, const, size)
+                eng = engine_for(text, d)
+                assert len(eng.chunks) == -(-n // size)
+                p = start_values(eng) + 0.1
+                P = p + 0.01 * np.arange(3)[:, None]
+                results.append((eng.cluster_logliks(p), [eng.total_loglik(x) for x in P],
+                                eng.cluster_logliks(P), eng.total_loglik(P)))
+            for got in results[1:]:
+                for a, b in zip(got, results[0]):
+                    assert np.array_equal(a, b)
 
 
 class TestMaximize:

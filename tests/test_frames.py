@@ -20,16 +20,16 @@ from jointfit.quadrature import Frame
 from conftest import make_dataset
 from test_time_blocks import FP_PARAMS, FP_SPEC, JOINT_PARAMS, JOINT_SPEC, fp_data, joint_data
 
-# more than one chunk each, so that threads = 2 runs the thread pool
+# more than one chunk each, so that several chunks' frames are kept
 MODELS = {"joint_ev": (JOINT_SPEC, JOINT_PARAMS, lambda: joint_data(n_clusters=140)),
           "fp_weibull": (FP_SPEC, FP_PARAMS, lambda: fp_data(n=4200))}
 
 
-def engine(kind, threads=1):
+def engine(kind):
     spec_text, params, make_data = MODELS[kind]
     data = make_data()
     spec = jf.validate_spec(jf.parse_spec_text(spec_text), data)
-    return LikelihoodEngine(Evaluator(spec, data), threads=threads), np.asarray(params)
+    return LikelihoodEngine(Evaluator(spec, data)), np.asarray(params)
 
 
 def count_rcs_evals(monkeypatch):
@@ -44,14 +44,13 @@ def count_rcs_evals(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("kind", ["joint_ev", "fp_weibull"])
-def test_warm_engine_matches_fresh_engine(kind, threads):
-    warm, p1 = engine(kind, threads)
+def test_warm_engine_matches_fresh_engine(kind):
+    warm, p1 = engine(kind)
     assert len(warm.chunks) > 1
     p2 = p1 + 0.01
     for p in (p1, p2, p1):
-        fresh = engine(kind, threads)[0]
+        fresh = engine(kind)[0]
         assert np.array_equal(warm.cluster_logliks(p), fresh.cluster_logliks(p))
 
 
