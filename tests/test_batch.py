@@ -37,18 +37,28 @@ def loop_central_gradient(f, x, step_scale):
 
 
 def loop_central_hessian(f, x, step_scale):
-    """Oracle: nested central differences, one objective call per point."""
+    """Oracle: symmetric second differences, one objective call per point."""
     n = len(x)
+    h = [step_scale * max(1.0, abs(v)) for v in x]
+
+    def at(*moves):
+        y = x.copy()
+        for i, step in moves:
+            y[i] += step
+        return f(y)
+
+    f0 = at()
+    fp = [at((i, h[i])) for i in range(n)]
+    fm = [at((i, -h[i])) for i in range(n)]
     H = np.empty((n, n))
     for i in range(n):
-        h = step_scale * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        gp = loop_central_gradient(f, xp, step_scale * 0.01)
-        gm = loop_central_gradient(f, xm, step_scale * 0.01)
-        H[i] = (gp - gm) / (2.0 * h)
-    return 0.5 * (H + H.T)
+        H[i, i] = (fp[i] - 2.0 * f0 + fm[i]) / (h[i] * h[i])
+        for j in range(i + 1, n):
+            fpp = at((i, h[i]), (j, h[j]))
+            fmm = at((i, -h[i]), (j, -h[j]))
+            H[i, j] = H[j, i] = ((fpp + fmm - fp[i] - fm[i] - fp[j] - fm[j] + 2.0 * f0)
+                                 / (2.0 * h[i] * h[j]))
+    return H
 
 
 def _raise_above_one(ctx):
@@ -219,8 +229,9 @@ def test_iteration_records(caplog):
     data = sim_weibull(200, lam=0.1, gamma=1.4, beta=0.5, seed=7, cens_rate=0.1)
     with caplog.at_level(logging.DEBUG, logger="jointfit.estimation"):
         fit = fit_spec("weibull : Surv(t, d) ~ x", data)
-    records = [r for r in caplog.records if r.name == "jointfit.estimation"]
+    *records, hessian = [r for r in caplog.records if r.name == "jointfit.estimation"]
     assert len(records) == fit.iterations > 0
+    assert hessian.getMessage().startswith("Hessian: ")
     pattern = (r"iteration (\d+): logL (\S+), max\|g\| (\S+), alpha (\S+), (\d+) halvings, "
                r"(\d+) points in (\d+) engine calls")
     points = calls = 0

@@ -1,5 +1,8 @@
 """Marginal likelihood assembly, optimizer, and reporting."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -9,6 +12,7 @@ from jointfit import estimation
 from jointfit.estimation import (LikelihoodEngine, fit_from_json, fit_to_json,
                                  start_values, summary_table)
 from jointfit.evaluator import Evaluator
+from jointfit.userfam import logl_gaussian, register_user_family
 
 from conftest import fit_spec, make_dataset, sim_lmm, sim_weibull
 from test_reduction import no_level_data
@@ -208,6 +212,108 @@ class TestMaximize:
                 gaps.append(val)
         gaps = [abs(g - ref) for g in gaps]
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
+
+
+def _gaussian_xy(sd, n=200, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    y = 1.0 + 0.5 * x + sd * rng.normal(size=n)
+    return x, y, make_dataset({"y": y, "x": x})
+
+
+def _hessian_points(monkeypatch):
+    """Fit hook: the engine points each central_hessian call adds."""
+    engines, counts = [], []
+    init, hessian = LikelihoodEngine.__init__, estimation.central_hessian
+
+    def recorded_init(self, *args, **kwargs):
+        engines.append(self)
+        init(self, *args, **kwargs)
+
+    def counted(f, x, step_scale):
+        before = engines[-1].points
+        H = hessian(f, x, step_scale)
+        counts.append(engines[-1].points - before)
+        return H
+
+    monkeypatch.setattr(LikelihoodEngine, "__init__", recorded_init)
+    monkeypatch.setattr(estimation, "central_hessian", counted)
+    return counts
+
+
+class TestHessian:
+    def test_gaussian_se_match_closed_form(self):
+        # the Hessian of -log L in (beta, _cons, log_sd) at the estimates
+        x, y, d = _gaussian_xy(0.5)
+        fit = fit_spec("gaussian : y ~ x", d)
+        assert fit.labels == ["x", "_cons", "log_sd(resid.)"]
+        b, c, log_sd = fit.estimates
+        X = np.column_stack([x, np.ones(len(x))])
+        r = y - X @ np.asarray([b, c])
+        s2 = np.exp(2.0 * log_sd)
+        H = np.empty((3, 3))
+        H[:2, :2] = X.T @ X / s2
+        H[:2, 2] = H[2, :2] = 2.0 * X.T @ r / s2
+        H[2, 2] = 2.0 * r @ r / s2
+        want = np.sqrt(np.diag(np.linalg.inv(H)))
+        assert np.max(np.abs(fit.std_errors() / want - 1.0)) < 1e-7
+
+    def test_point_count(self, monkeypatch):
+        counts = _hessian_points(monkeypatch)
+        fit = fit_spec("weibull : Surv(t, d) ~ x",
+                       sim_weibull(200, lam=0.1, gamma=1.4, beta=0.5, seed=7, cens_rate=0.1))
+        p = len(fit.estimates)
+        assert counts == [p * p + p + 1]
+
+    def test_debug_record(self, caplog):
+        _, _, d = _gaussian_xy(0.5)
+        with caplog.at_level(logging.DEBUG, logger="jointfit.estimation"):
+            fit = fit_spec("gaussian : y ~ x", d)
+        records = [r.getMessage() for r in caplog.records
+                   if r.name == "jointfit.estimation" and r.getMessage().startswith("Hessian")]
+        assert len(records) == 1
+        m = re.fullmatch(r"Hessian: (\d+) points, smallest eigenvalue (\S+), "
+                         r"condition number (\S+)", records[0])
+        assert m, records[0]
+        eig = np.linalg.eigvalsh(np.linalg.inv(fit.vcov))
+        assert int(m[1]) == 3 * 3 + 3 + 1
+        assert float(m[2]) == pytest.approx(eig[0], rel=1e-5)
+        assert float(m[3]) == pytest.approx(eig[-1] / eig[0], rel=1e-5)
+
+    def test_penalized_point_gives_no_vcov(self):
+        # log L is -inf for _ap1 (log sd) more than 5e-5 below its MLE, so
+        # the Hessian's step of 1e-4 below the estimate gets the penalty
+        x, y, d = _gaussian_xy(0.5)
+        X = np.column_stack([x, np.ones(len(x))])
+        beta = np.linalg.lstsq(X, y, rcond=None)[0]
+        mle = np.log(np.sqrt(np.mean((y - X @ beta) ** 2)))
+
+        def walled(ctx):
+            if ctx.ap(1) < mle - 5e-5:
+                return np.full((len(ctx.depvar()), 1), -np.inf)
+            return logl_gaussian(ctx)
+
+        register_user_family("t_walled_gaussian", walled, replace=True)
+        with pytest.warns(RuntimeWarning, match=r"no standard errors: .* in _ap1$"):
+            fit = fit_spec("user : y ~ x + ap(1) | userf=t_walled_gaussian", d)
+        assert fit.estimates[2] == pytest.approx(mle, abs=5e-5)
+        assert fit.vcov is None
+        assert np.all(np.isnan(fit.std_errors()))
+
+    @pytest.mark.parametrize("hessian, reason", [
+        (np.zeros((3, 3)), "the Hessian is singular"),
+        (-np.eye(3), "non-positive variance of x, _cons, log_sd"),
+    ])
+    def test_unusable_hessian_warns(self, monkeypatch, hessian, reason):
+        def fake(f, x, step_scale):
+            f(x[None, :])
+            return hessian
+
+        monkeypatch.setattr(estimation, "central_hessian", fake)
+        _, _, d = _gaussian_xy(0.5)
+        with pytest.warns(RuntimeWarning, match=re.escape(reason)):
+            fit = fit_spec("gaussian : y ~ x", d)
+        assert fit.vcov is None
 
 
 class TestStartValues:
