@@ -30,13 +30,20 @@ row of its cluster values, so every value has the bits of the same point
 evaluated alone.  A batch is split so that points x chunk rows x nq stays
 within BATCH_DOUBLES.
 
-The optimizer is BFGS on central-difference gradients, and the standard
-errors come from the Hessian of symmetric second differences, whose
-p^2 + p + 1 points are f at the estimates, one step either way on each
-axis and one step either way on each pair of axes.  Each gradient's 2p
-points, and all the Hessian's points, go to the engine in one call; the
-line search evaluates one point at a time.  The step arithmetic is the
-per-point loop's, so fits are unchanged by the batching.
+The optimizer is BFGS, whose gradient is the engine's score: the
+derivative of a cluster's log-likelihood is the posterior-weighted sum of
+its rows' derivatives (Louis 1982).  The reduction of one point's row sums
+gives every row a posterior weight per node, and each submodel's rows are
+differenced centrally in the parameters they depend on only, so a
+coefficient of one submodel re-evaluates that submodel alone.  A one-point
+evaluation keeps its reduction, so the score at the point the line search
+has just accepted does not evaluate it again.  Where the score is not
+finite or cannot be evaluated, BFGS takes central differences of the whole
+likelihood, which carry the _BIG penalty.  The standard errors come from
+the Hessian of symmetric second differences, whose p^2 + p + 1 points are
+f at the estimates, one step either way on each axis and one step either
+way on each pair of axes; they go to the engine in one call, and the line
+search evaluates one point at a time.
 """
 
 import json
@@ -128,7 +135,9 @@ class LikelihoodEngine:
         self._build_chunks()
         rows = max((len(c["rows"]) for c in self.chunks), default=1)
         self.batch = max(1, BATCH_DOUBLES // (rows * self.nq))
-        self.calls = self.points = 0  # total_loglik calls and points so far
+        self.deps = self._dependencies()
+        # total_loglik calls and points, and score calls, so far
+        self.calls = self.points = self.scores = 0
 
     # -- chunk partition (bounds a pass's memory; one frame per submodel) --
 
@@ -161,12 +170,48 @@ class LikelihoodEngine:
         # down (a row at the lowest level, else a level-(k+1) cluster)
         labels = []
         unit_rows = np.arange(len(rows))  # a chunk row inside each unit
+        top = unit_rows  # ends as the chunk-local top-level cluster of each row
         for level in reversed(self.spec.levels):
             gids = self.data.level_index[level].row_cluster[rows]
-            _, first, local = np.unique(gids, return_index=True, return_inverse=True)
-            labels.insert(0, local[unit_rows])
+            _, first, top = np.unique(gids, return_index=True, return_inverse=True)
+            labels.insert(0, top[unit_rows])
             unit_rows = first
-        return {"rows": rows, "subs": subs, "labels": labels}
+        # each level's bincount index at the width of one point
+        index = [(lab[:, None] * width + np.arange(width)).ravel()
+                 for lab, width in zip(labels, np.cumprod(self._level_counts, dtype=int))]
+        return {"rows": rows, "subs": subs, "labels": labels, "index": index, "top": top}
+
+    def _dependencies(self):
+        """Per submodel, the sorted indices of the parameters its rows
+        depend on: its ancillaries and the parameters of its predictor;
+        every parameter for a user family, whose context can evaluate any
+        submodel."""
+        out = []
+        for i, sub in enumerate(self.spec.submodels):
+            if families.FAMILIES[sub.family].user:
+                out.append(np.arange(self.ev.n_params()))
+            else:
+                reach = self._predictor_params(i) | set(self.ev.subs[i].ap_idx)
+                out.append(np.asarray(sorted(reach), dtype=int))
+        return out
+
+    def _predictor_params(self, i) -> set[int]:
+        """The parameters of submodel i's predictor: its coefficients, the
+        covariance parameters of every level whose random effects it uses,
+        and those of its link targets' predictors (a target's mean is a
+        function of its predictor, so its ancillaries do not reach the
+        link)."""
+        layout, out = self.ev.layout, set()
+        for col in self.ev.subs[i].columns:
+            if col.param is not None:
+                out.add(col.param)
+            for level, names in self.spec.re_layout.items():
+                if set(col.re_names) & set(names):
+                    out.update(layout.level_log_sd[level] + layout.level_corr[level])
+            for el, _ in col.factors:
+                if el.kind == "link":
+                    out |= self._predictor_params(el.target_index)
+        return out
 
     # -- draws -------------------------------------------------------------
 
@@ -209,38 +254,78 @@ class LikelihoodEngine:
 
     def _chunk_loglik(self, chunk_id, params, draws) -> np.ndarray:
         """Per-top-cluster log-likelihood values for one chunk, of one
-        point (p,) or of B points in column form (p, B * nq)."""
+        point (p,) or of B points in column form (p, B * nq).  One point's
+        reduction is kept, by reference, with the point's bytes, for a
+        score at the same point."""
         chunk = self.chunks[chunk_id]
-        n = len(chunk["rows"])
-        cur = np.zeros((n, params.shape[1] if params.ndim == 2 else self.nq))
+        cur = self._row_sums(chunk, params, draws)
+        if params.ndim == 2:
+            return self._reduce(chunk, cur, batch=True)
+        levels = []
+        cur = self._reduce(chunk, cur, levels=levels)
+        chunk["kept"] = (params.tobytes(), levels)
+        return cur
+
+    def _row_sums(self, chunk, params, draws) -> np.ndarray:
+        """The submodels' contributions summed per chunk row, (n, nq) for
+        one point, (n, B * nq) for B points in column form."""
+        cur = np.zeros((len(chunk["rows"]), params.shape[1] if params.ndim == 2 else self.nq))
         for i, (local, at) in enumerate(chunk["subs"]):
             if len(local):  # a submodel's chunk positions are unique
                 cur[local] += self.ev.loglik_matrix(params, i, draws, at)
+        return cur
 
+    def _reduce(self, chunk, cur, batch=False, levels=None) -> np.ndarray:
+        """Per-top-cluster log-likelihoods from a chunk's row sums:
+        (n_top_clusters_in_chunk,), or (n_top_clusters_in_chunk, B) for a
+        batch.  For one point, levels (a list) receives each level's
+        cluster sums at every node and cluster log-likelihoods, top level
+        first."""
         # nested reduction, lowest level inward: sum each cluster's units,
         # then integrate the cluster over the level's nodes; a batch keeps
         # its points apart on an axis of their own
-        batch = () if params.ndim == 1 else (-1,)
-        cur = cur.reshape((n,) + batch + self._level_counts)
+        cur = cur.reshape((len(cur),) + ((-1,) if batch else ()) + self._level_counts)
         for k in reversed(range(len(self.node_sets))):
-            width = int(np.prod(cur.shape[1:]))
-            idx = chunk["labels"][k][:, None] * width + np.arange(width)
-            agg = np.bincount(idx.ravel(), weights=cur.ravel())
+            if batch:
+                width = int(np.prod(cur.shape[1:]))
+                idx = (chunk["labels"][k][:, None] * width + np.arange(width)).ravel()
+            else:
+                idx = chunk["index"][k]
+            agg = np.bincount(idx, weights=cur.ravel())
             agg = agg.reshape((-1,) + cur.shape[1:])
             w = self.node_sets[k].weights
             mx = np.max(agg, axis=-1, keepdims=True)
             mx_safe = np.where(np.isfinite(mx), mx, 0.0)
             with np.errstate(divide="ignore"):
                 cur = np.log(np.sum(np.exp(agg - mx_safe) * w, axis=-1)) + mx_safe[..., 0]
-        return cur  # (n_top_clusters_in_chunk,) or (n_top_clusters_in_chunk, B)
+            if levels is not None:
+                levels.insert(0, (agg, cur))
+        return cur
+
+    def _node_weights(self, chunk, levels):
+        """The posterior weights at each full-grid node of one point's
+        reduction, as (W, unit): row r's weights are W[unit[r]].  W holds
+        one row per lowest-level cluster: each level's node weights
+        exp(agg - log L) * w, normalized per cluster, chained down from the
+        top level (one weight 1 without levels)."""
+        if not levels:
+            return np.ones((1, 1)), np.zeros(len(chunk["rows"]), dtype=int)
+        for k, (agg, ll) in enumerate(levels):
+            post = np.exp(agg - ll[..., None]) * self.node_sets[k].weights
+            W = post if k == 0 else post * W[chunk["labels"][k - 1]][..., None]
+        return W.reshape(-1, self.nq), chunk["labels"][-1]
+
+    def _columns(self, points):
+        """The draws and the evaluator's parameters of a (B, p) matrix of
+        points: one point as its vector, whose entries broadcast over the
+        nodes like scalars, B > 1 points in column form."""
+        params = points[0] if len(points) == 1 else np.repeat(points.T, self.nq, axis=1)
+        return self.draws(points), params
 
     def _pass(self, points) -> np.ndarray:
         """(B, n_clusters) log-likelihoods of a (B, p) matrix of points in
-        one pass, a contiguous row per point.  One point goes to the
-        evaluator as its vector, whose entries broadcast over the nodes
-        like scalars; B > 1 points go in column form."""
-        draws = self.draws(points)
-        params = points[0] if len(points) == 1 else np.repeat(points.T, self.nq, axis=1)
+        one pass, a contiguous row per point."""
+        draws, params = self._columns(points)
         parts = [self._chunk_loglik(c, params, draws) for c in range(len(self.chunks))]
         ll = np.concatenate(parts) if parts else np.zeros(0)
         return np.ascontiguousarray(ll.reshape(-1, len(points)).T)
@@ -269,6 +354,60 @@ class LikelihoodEngine:
         # each point's total is a sum over its contiguous row, as for one
         # point; a pass at a time, so no more than a pass is held
         return np.concatenate([np.sum(ll, axis=1) for ll in self._passes(params)])
+
+    def score(self, x) -> np.ndarray:
+        """The gradient of log L at one point x (p,): the posterior-weighted
+        sum of the row derivatives (Louis 1982).
+
+        The row weights come from the reduction at x, the one kept by the
+        last one-point evaluation if it was at x.  Each submodel's rows are
+        differenced centrally, with the steps of central_gradient, in the
+        parameters it depends on only; each side
+        is contracted with the weights over the nodes, one chunk at a time
+        in passes of self.batch points, before the two are differenced.
+        Nodes of weight 0 contribute 0.  The row scores are summed per
+        top-level cluster and then over all clusters at once, so the result
+        does not depend on the chunk partition.  NaN where a cluster's log L
+        is not finite."""
+        x = np.asarray(x, dtype=float)
+        self.scores += 1
+        key, draws, weights = x.tobytes(), None, []
+        for chunk in self.chunks:
+            kept_key, levels = chunk.get("kept", (None, None))
+            if kept_key != key:
+                draws = self.draws(x) if draws is None else draws
+                levels = []
+                self._reduce(chunk, self._row_sums(chunk, x, draws), levels=levels)
+            weights.append(self._node_weights(chunk, levels))
+        n = len(x)
+        if not all(np.all(np.isfinite(W)) for W, _ in weights):
+            return np.full(n, np.nan)
+        points, h = _gradient_points(x, GRAD_STEP)
+        S = [np.zeros((len(chunk["rows"]), n)) for chunk in self.chunks]
+        for i, deps in enumerate(self.deps):
+            side_points = points[(2 * deps[:, None] + np.arange(2)).ravel()]
+            passes = [self._columns(side_points[s:s + self.batch])
+                      for s in range(0, len(side_points), self.batch)]
+            for chunk, (W, unit), rows in zip(self.chunks, weights, S):
+                local, at = chunk["subs"][i]
+                if not (len(local) and passes):
+                    continue
+                Wl = W[unit[local]][:, None, :]
+                # a node of weight 0 may be -inf on either side
+                zero = None if np.all(Wl) else Wl == 0
+                sides = []
+                for draws, params in passes:
+                    ll = self.ev.loglik_matrix(params, i, draws, at)
+                    ll = ll.reshape(len(local), -1, W.shape[1])  # (rows, points, nodes)
+                    if zero is not None:
+                        ll = np.where(zero, 0.0, ll)
+                    sides.append(np.sum(ll * Wl, axis=-1))
+                side = np.hstack(sides)
+                rows[np.ix_(local, deps)] += (side[:, 0::2] - side[:, 1::2]) / (2.0 * h[deps])
+        clusters = [np.bincount((chunk["top"][:, None] * n + np.arange(n)).ravel(),
+                                weights=rows.ravel()).reshape(-1, n)
+                    for chunk, rows in zip(self.chunks, S)]
+        return np.sum(np.concatenate(clusters), axis=0) if clusters else np.zeros(n)
 
 
 # ---------------------------------------------------------------------------
@@ -396,19 +535,34 @@ def central_hessian(f, x, step_scale):
     return H
 
 
+def _bfgs_gradient(engine, x):
+    """The gradient of -log L at x: minus the engine's score, or, where the
+    score is not finite or x cannot be evaluated, the central differences
+    of -log L, whose _BIG penalty keeps the search off invalid points."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            g = -engine.score(x)
+        if np.all(np.isfinite(g)):
+            return g
+    except (FloatingPointError, ValueError):
+        pass
+    return central_gradient(partial(_neg_loglik, engine), x, GRAD_STEP)
+
+
 def _bfgs(engine, x0, f0, max_iter: int):
     """BFGS ascent on the engine's log-likelihood, minimizing f = -log L
     with backtracking line search, from x0 where f is f0.
 
     Converged when the gradient inf-norm falls below GRAD_TOL and the
     relative objective change falls below REL_TOL.  Each iteration logs a
-    debug record with the engine's counts of points and calls so far.
+    debug record with the engine's counts of points, calls and scores so
+    far.
     """
     f = partial(_neg_loglik, engine)
     x = np.asarray(x0, dtype=float)
     n = len(x)
     fx = f0
-    g = central_gradient(f, x, GRAD_STEP)
+    g = _bfgs_gradient(engine, x)
     Hinv = np.eye(n)
     converged = False
     it = 0
@@ -439,7 +593,7 @@ def _bfgs(engine, x0, f0, max_iter: int):
         if not ok:
             converged = gmax < GRAD_TOL
             break
-        g_new = central_gradient(f, x_new, GRAD_STEP)
+        g_new = _bfgs_gradient(engine, x_new)
         s = x_new - x
         yv = g_new - g
         sy = s @ yv
@@ -454,8 +608,8 @@ def _bfgs(engine, x0, f0, max_iter: int):
             best_x, best_f = x.copy(), fx
         it += 1
         log.debug("iteration %d: logL %.10g, max|g| %.3g, alpha %.3g, %d halvings, "
-                  "%d points in %d engine calls", it, -fx, np.max(np.abs(g)), alpha,
-                  halvings, engine.points, engine.calls)
+                  "%d points in %d engine calls, %d scores", it, -fx, np.max(np.abs(g)),
+                  alpha, halvings, engine.points, engine.calls, engine.scores)
     if fx > best_f:
         x, fx = best_x, best_f
     if fx >= _BIG:

@@ -233,17 +233,18 @@ def test_iteration_records(caplog):
     assert len(records) == fit.iterations > 0
     assert hessian.getMessage().startswith("Hessian: ")
     pattern = (r"iteration (\d+): logL (\S+), max\|g\| (\S+), alpha (\S+), (\d+) halvings, "
-               r"(\d+) points in (\d+) engine calls")
-    points = calls = 0
+               r"(\d+) points in (\d+) engine calls, (\d+) scores")
+    points = calls = 1  # the start point
     for k, rec in enumerate(records, start=1):
         m = re.fullmatch(pattern, rec.getMessage())
         assert m, rec.getMessage()
         assert int(m[1]) == k
         alpha, halvings = float(m[4]), int(m[5])
         assert alpha == pytest.approx(0.5 ** halvings, rel=1e-2)
-        assert int(m[6]) > points and int(m[7]) > calls
+        # the gradients come from scores, one at the start and one per
+        # iteration, so points rise by the line search's trials alone
+        assert int(m[6]) == points + halvings + 1 and int(m[7]) == calls + halvings + 1
+        assert int(m[8]) == k + 1
         points, calls = int(m[6]), int(m[7])
     # the last iteration's point is the fit's
     assert float(m[2]) == pytest.approx(fit.loglik, rel=1e-9)
-    # each gradient's 2p points go to the engine in one call
-    assert calls < points
