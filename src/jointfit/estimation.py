@@ -2,10 +2,11 @@
 
 The marginal log-likelihood integrates the nested random effects with
 fixed standard-normal-space node sets that are rescaled by the current
-Cholesky factor at every evaluation.  Work is partitioned into fixed
-chunks of top-level clusters (CHUNK_CLUSTERS, or CHUNK_ROWS rows for a
-model without levels), evaluated in cluster order; a cluster's value does
-not depend on how the clusters are split.
+Cholesky factor at every evaluation.  Work is partitioned into chunks of
+whole top-level clusters (single rows, for a model without levels),
+evaluated in cluster order: as many clusters as keep a chunk's rows x nq
+within PASS_DOUBLES, and at least one.  A cluster's value does not depend
+on how the clusters are split.
 
 Each chunk keeps one quadrature.Frame per submodel, of its observed rows,
 times and responses, in which the evaluator keeps every value that does
@@ -27,8 +28,8 @@ parameters in column form (p, B * nq), where each parameter is a row that
 broadcasts like a draw (one point goes as its vector).  The reduction
 keeps the points apart and each point's total is a sum over a contiguous
 row of its cluster values, so every value has the bits of the same point
-evaluated alone.  A batch is split so that points x chunk rows x nq stays
-within BATCH_DOUBLES.
+evaluated alone.  A batch is split so that chunk rows x points x nq stays
+within the same PASS_DOUBLES.
 
 The optimizer is BFGS, whose gradient is the engine's score: the
 derivative of a cluster's log-likelihood is the posterior-weighted sum of
@@ -63,16 +64,10 @@ from .quadrature import CovarianceParam, NodeSet, level_nodes, transform_nodes
 
 log = logging.getLogger(__name__)
 
-CHUNK_CLUSTERS = 64
-CHUNK_ROWS = 4096  # rows per chunk of a model without levels
-# values of one pass: a batch of points is split so that points x chunk
-# rows x nq stays within this budget, which keeps a pass's arrays at 64 KB.
-# Batching pays where the per-call overhead dominates; a model whose one
-# point already fills the budget (shared_re: 296 rows x 35 nodes) is
-# arithmetic-bound, and 3-point passes made its fit 10 % slower.  Wider
-# passes also take more, smaller time-integral blocks
-# (quadrature.TIME_BLOCK_DOUBLES).
-BATCH_DOUBLES = 2**13
+# values of one likelihood pass, chunk rows x points x nq (256 KB).  On
+# shared_re (ip = 35, 2 vCPUs), 2^16 made one chunk and eval_ms 8 % worse;
+# 2^13 made 234-row chunks and the fit 8 % slower.
+PASS_DOUBLES = 2**15
 
 
 class ConvergenceError(RuntimeError):
@@ -134,25 +129,30 @@ class LikelihoodEngine:
             self.weights = self.weights * ns.weights[idx]
         self._build_chunks()
         rows = max((len(c["rows"]) for c in self.chunks), default=1)
-        self.batch = max(1, BATCH_DOUBLES // (rows * self.nq))
+        self.batch = max(1, PASS_DOUBLES // (rows * self.nq))
         self.deps = self._dependencies()
         # total_loglik calls and points, and score calls, so far
         self.calls = self.points = self.scores = 0
+        log.debug("engine: %d chunks, at most %d rows, %d nodes, %d points per pass",
+                  len(self.chunks), rows, self.nq, self.batch)
 
     # -- chunk partition (bounds a pass's memory; one frame per submodel) --
 
     def _build_chunks(self):
-        if self.spec.levels:
-            top = self.data.level_index[self.spec.levels[0]]
-            self.n_clusters = top.n_clusters
-            self.chunks = [
-                self._make_chunk(np.sort(np.concatenate(
-                    top.cluster_rows[s:s + CHUNK_CLUSTERS])))
-                for s in range(0, top.n_clusters, CHUNK_CLUSTERS)]
-        else:
-            n = self.n_clusters = self.data.n_rows
-            self.chunks = [self._make_chunk(np.arange(s, min(s + CHUNK_ROWS, n)))
-                           for s in range(0, max(n, 1), CHUNK_ROWS)]
+        """Whole top-level clusters per chunk, each row its own cluster in a
+        model without levels: as many as keep the chunk's rows x nq within
+        PASS_DOUBLES, and at least one."""
+        levels = self.spec.levels
+        cluster = (self.data.level_index[levels[0]].row_cluster if levels
+                   else np.arange(self.data.n_rows))
+        order = np.argsort(cluster, kind="stable")  # rows by cluster, ascending
+        ends = np.cumsum(np.bincount(cluster))  # rows up to each cluster's end
+        self.n_clusters, cap = len(ends), PASS_DOUBLES // self.nq
+        self.chunks, s = [], 0
+        while s < self.n_clusters:
+            first = ends[s - 1] if s else 0
+            s = max(s + 1, int(np.searchsorted(ends, first + cap, side="right")))
+            self.chunks.append(self._make_chunk(np.sort(order[first:ends[s - 1]])))
 
     def _make_chunk(self, rows):
         """A chunk's rows, one kept frame per submodel of the chunk's
@@ -567,7 +567,6 @@ def _bfgs(engine, x0, f0, max_iter: int):
     converged = False
     it = 0
     rel_change = np.inf
-    best_x, best_f = x.copy(), fx
     while it < max_iter:
         gmax = np.max(np.abs(g))
         if gmax < GRAD_TOL and rel_change < REL_TOL:
@@ -604,14 +603,10 @@ def _bfgs(engine, x0, f0, max_iter: int):
                 + rho * np.outer(s, s)
         rel_change = abs(f_new - fx) / max(1.0, abs(fx))
         x, fx, g = x_new, f_new, g_new
-        if fx < best_f:
-            best_x, best_f = x.copy(), fx
         it += 1
         log.debug("iteration %d: logL %.10g, max|g| %.3g, alpha %.3g, %d halvings, "
                   "%d points in %d engine calls, %d scores", it, -fx, np.max(np.abs(g)),
                   alpha, halvings, engine.points, engine.calls, engine.scores)
-    if fx > best_f:
-        x, fx = best_x, best_f
     if fx >= _BIG:
         # the whole search stayed on the invalid-likelihood penalty plateau;
         # a zero gradient there is not convergence

@@ -20,7 +20,7 @@ from scipy.stats import qmc
 # output values per stacked time-integrand call.  Without a cap a nested
 # integral stacks every node at once (an rmst of 30 rows: 45,000 rows of a
 # cumulative hazard).  A block holds at least one node, so the wide rows of
-# a likelihood pass of several points (estimation.BATCH_DOUBLES) take more,
+# a likelihood pass of several points (estimation.PASS_DOUBLES) take more,
 # smaller blocks than one point's.
 TIME_BLOCK_DOUBLES = 2**13
 

@@ -441,9 +441,12 @@ class TestCriterion9Reproducibility:
     def test_bitwise_identical_json_across_chunk_partitions(self, monkeypatch):
         d = sim_lmm(40, 4, 1.0, 0.6, sd_b=0.5, sd_e=0.4, seed=90)
         spec_text = "levels = id\ngaussian : y ~ x + M1[id]*1"
+        spec = jf.validate_spec(jf.parse_spec_text(spec_text), d)
         docs = []
-        for size in (1, 7, 64):
-            monkeypatch.setattr(estimation, "CHUNK_CLUSTERS", size)
+        for size, n_chunks in ((1, 40), (7, 6), (64, 1)):
+            # size 4-row clusters per chunk on 7 nodes
+            monkeypatch.setattr(estimation, "PASS_DOUBLES", size * 4 * 7)
+            assert len(LikelihoodEngine(Evaluator(spec, d)).chunks) == n_chunks
             fit = fit_spec(spec_text, d, seed=11)
             docs.append(fit_to_json(fit))
         assert docs[0] == docs[1] == docs[2]

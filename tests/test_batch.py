@@ -119,6 +119,19 @@ MODELS = {
 }
 
 
+# PASS_DOUBLES of the models that take more than one chunk only below the
+# default budget: 4096-row chunks
+BUDGETS = {"no_levels_2_chunks": 4096}
+
+
+def _model(monkeypatch, name):
+    """A MODELS entry's spec and data, with PASS_DOUBLES at its budget."""
+    spec_text, make_data, _, _ = MODELS[name]
+    if name in BUDGETS:
+        monkeypatch.setattr(estimation, "PASS_DOUBLES", BUDGETS[name])
+    return spec_text, make_data()
+
+
 def _points(name, eng, n_points=6):
     """Start values (or the model's parameters) and n_points - 1 points
     around them."""
@@ -133,10 +146,10 @@ def _points(name, eng, n_points=6):
 
 @pytest.mark.filterwarnings("ignore:correlation matrix of dimension 2:RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_batch_matches_one_point_evaluations(name):
-    spec_text, make_data, _, _ = MODELS[name]
-    data = make_data()
+def test_batch_matches_one_point_evaluations(monkeypatch, name):
+    spec_text, data = _model(monkeypatch, name)
     batched, single = _engine(spec_text, data), _engine(spec_text, data)
+    assert name not in BUDGETS or len(batched.chunks) == 2
     P = _points(name, batched)
     got = batched.total_loglik(P)
     want = np.asarray([single.total_loglik(x) for x in P])
@@ -151,15 +164,10 @@ def test_batch_matches_one_point_evaluations(name):
 @pytest.mark.parametrize("name", ["ev_rcs", "no_levels_2_chunks", "two_level_shuffled"])
 @pytest.mark.parametrize("per_pass", [1, 4])
 def test_split_batches_match(monkeypatch, name, per_pass):
-    spec_text, make_data, _, _ = MODELS[name]
-    data = make_data()
-    monkeypatch.setattr(estimation, "BATCH_DOUBLES", 2**24)
-    whole = _engine(spec_text, data)
-    rows = max(len(c["rows"]) for c in whole.chunks)
-    monkeypatch.setattr(estimation, "BATCH_DOUBLES", per_pass * rows * whole.nq)
-    split = _engine(spec_text, data)
+    spec_text, data = _model(monkeypatch, name)
+    whole, split = _engine(spec_text, data), _engine(spec_text, data)
     P = _points(name, whole, n_points=9)
-    assert split.batch == per_pass and len(P) <= whole.batch
+    whole.batch, split.batch = len(P), per_pass
     assert np.array_equal(split.total_loglik(P), whole.total_loglik(P))
 
 
@@ -229,7 +237,8 @@ def test_iteration_records(caplog):
     data = sim_weibull(200, lam=0.1, gamma=1.4, beta=0.5, seed=7, cens_rate=0.1)
     with caplog.at_level(logging.DEBUG, logger="jointfit.estimation"):
         fit = fit_spec("weibull : Surv(t, d) ~ x", data)
-    *records, hessian = [r for r in caplog.records if r.name == "jointfit.estimation"]
+    engine, *records, hessian = [r for r in caplog.records if r.name == "jointfit.estimation"]
+    assert engine.getMessage().startswith("engine: ")
     assert len(records) == fit.iterations > 0
     assert hessian.getMessage().startswith("Hessian: ")
     pattern = (r"iteration (\d+): logL (\S+), max\|g\| (\S+), alpha (\S+), (\d+) halvings, "

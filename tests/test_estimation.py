@@ -15,7 +15,7 @@ from jointfit.evaluator import Evaluator
 from jointfit.userfam import logl_gaussian, register_user_family
 
 from conftest import fit_spec, make_dataset, sim_lmm, sim_weibull
-from test_reduction import no_level_data
+from test_reduction import TWO_LEVEL_SPEC, no_level_data, two_level_data
 
 
 def engine_for(text, data, seed=0):
@@ -107,13 +107,15 @@ class TestClusterLoglik:
         # the clusters (rows, without levels) may be split into chunks of
         # any size: every cluster value and total keeps its bits
         lmm = sim_lmm(150, 4, 1.0, 0.5, sd_b=0.4, sd_e=0.4, seed=4)
-        cases = [("CHUNK_CLUSTERS", "levels = id\ngaussian : y ~ x + M1[id]*1", lmm, 150,
+        # sizes: clusters per chunk, 4 rows on 7 nodes each, or rows per
+        # chunk without levels
+        cases = [("levels = id\ngaussian : y ~ x + M1[id]*1", lmm, 150, 4 * 7,
                   (1, 7, 64, 1000)),
-                 ("CHUNK_ROWS", "gaussian : y ~ x", no_level_data(), 5000, (999, 4096, 5000))]
-        for const, text, d, n, sizes in cases:
+                 ("gaussian : y ~ x", no_level_data(), 5000, 1, (1, 999, 4096, 5000))]
+        for text, d, n, doubles, sizes in cases:
             results = []
             for size in sizes:
-                monkeypatch.setattr(estimation, const, size)
+                monkeypatch.setattr(estimation, "PASS_DOUBLES", size * doubles)
                 eng = engine_for(text, d)
                 assert len(eng.chunks) == -(-n // size)
                 p = start_values(eng) + 0.1
@@ -123,6 +125,71 @@ class TestClusterLoglik:
             for got in results[1:]:
                 for a, b in zip(got, results[0]):
                     assert np.array_equal(a, b)
+
+
+def uneven_clusters(seed=5):
+    """Random-intercept data of 30 clusters id of 1 to 12 rows and one of
+    40, rows shuffled."""
+    rng = np.random.default_rng(seed)
+    ids = np.repeat(np.arange(31), np.append(rng.integers(1, 13, 30), 40))
+    ids = ids[rng.permutation(len(ids))]
+    return make_dataset({"id": ids, "x": rng.normal(size=len(ids)),
+                         "y": rng.normal(size=len(ids))}, levels=("id",))
+
+
+class TestChunks:
+    """The partition rule: whole top-level clusters, in order, as many per
+    chunk as keep its rows x nq within PASS_DOUBLES, and at least one."""
+
+    CASES = [("levels = id\nip = 3\ngaussian : y ~ x + M1[id]*1", uneven_clusters,
+              (1, 60, 99, 2**30)),
+             ("levels = p,s\nip = 3\ngaussian : y ~ M1[p]*1 + M2[s]*1\n", two_level_data,
+              (1, 95, 300, 2**30)),
+             ("gaussian : y ~ x", lambda: no_level_data(300), (1, 7, 64, 300))]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_partition_rule(self, monkeypatch, case):
+        text, make_data, budgets = self.CASES[case]
+        d = make_data()
+        for budget in budgets:
+            monkeypatch.setattr(estimation, "PASS_DOUBLES", budget)
+            eng = engine_for(text, d)
+            levels = eng.spec.levels
+            cluster = (d.level_index[levels[0]].row_cluster if levels
+                       else np.arange(d.n_rows))
+            size = np.bincount(cluster)
+            chunks = [chunk["rows"] for chunk in eng.chunks]
+            assert np.array_equal(np.sort(np.concatenate(chunks)), np.arange(d.n_rows))
+            ids = [np.unique(cluster[rows]) for rows in chunks]
+            # whole clusters, in order: chunk k holds the clusters after
+            # those of chunk k - 1
+            assert np.array_equal(np.concatenate(ids), np.arange(len(size)))
+            for rows, own, nxt in zip(chunks, ids, ids[1:] + [None]):
+                assert np.array_equal(rows, np.flatnonzero(np.isin(cluster, own)))
+                # within the budget, or a cluster larger than it alone (the
+                # 40-row cluster of uneven_clusters at 60 and 99)
+                assert len(own) == 1 or len(rows) * eng.nq <= budget
+                if nxt is not None:  # as many clusters as fit
+                    assert (len(rows) + size[nxt[0]]) * eng.nq > budget
+                if not levels:
+                    assert np.array_equal(rows, np.arange(rows[0], rows[-1] + 1))
+            rows = max(len(r) for r in chunks)
+            assert eng.batch == max(1, budget // (rows * eng.nq))
+        # the smallest budget gives one cluster per chunk, the largest one
+        # chunk
+        monkeypatch.setattr(estimation, "PASS_DOUBLES", budgets[0])
+        assert len(engine_for(text, d).chunks) == len(size)
+        monkeypatch.setattr(estimation, "PASS_DOUBLES", budgets[-1])
+        assert len(engine_for(text, d).chunks) == 1
+
+    def test_engine_record(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="jointfit.estimation"):
+            engine_for(TWO_LEVEL_SPEC, two_level_data())
+            engine_for("gaussian : y ~ x", no_level_data())
+        records = [r.getMessage() for r in caplog.records if r.name == "jointfit.estimation"]
+        assert records == [
+            "engine: 2 chunks, at most 144 rows, 225 nodes, 1 points per pass",
+            "engine: 1 chunks, at most 5000 rows, 1 nodes, 6 points per pass"]
 
 
 class TestMaximize:

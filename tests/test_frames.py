@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import jointfit as jf
-from jointfit import basis
+from jointfit import basis, estimation
 from jointfit.estimation import LikelihoodEngine, fit_to_json
 from jointfit.evaluator import Evaluator
 from jointfit.prediction import FittedModel, PredictRequest, predict_stat
@@ -20,7 +20,8 @@ from jointfit.quadrature import Frame
 from conftest import make_dataset
 from test_time_blocks import FP_PARAMS, FP_SPEC, JOINT_PARAMS, JOINT_SPEC, fp_data, joint_data
 
-# more than one chunk each, so that several chunks' frames are kept
+# more than one chunk each at a budget of 2048 values, so that several
+# chunks' frames are kept
 MODELS = {"joint_ev": (JOINT_SPEC, JOINT_PARAMS, lambda: joint_data(n_clusters=140)),
           "fp_weibull": (FP_SPEC, FP_PARAMS, lambda: fp_data(n=4200))}
 
@@ -45,7 +46,8 @@ def count_rcs_evals(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["joint_ev", "fp_weibull"])
-def test_warm_engine_matches_fresh_engine(kind):
+def test_warm_engine_matches_fresh_engine(monkeypatch, kind):
+    monkeypatch.setattr(estimation, "PASS_DOUBLES", 2048)
     warm, p1 = engine(kind)
     assert len(warm.chunks) > 1
     p2 = p1 + 0.01

@@ -11,7 +11,8 @@ import numpy as np
 from scipy.stats import multivariate_normal
 
 import jointfit as jf
-from jointfit.estimation import CHUNK_CLUSTERS, LikelihoodEngine, start_values
+from jointfit import estimation
+from jointfit.estimation import LikelihoodEngine, start_values
 from jointfit.evaluator import Evaluator
 
 from conftest import make_dataset
@@ -19,7 +20,7 @@ from conftest import make_dataset
 TWO_LEVEL_SPEC = "levels = p,s\nip = 15\ngaussian : y ~ M1[p]*1 + M2[s]*1\n"
 # _cons, log_sd(resid.), log_sd(M1), log_sd(M2)
 TWO_LEVEL_PARAMS = np.asarray([1.0, np.log(1.0), np.log(0.5), np.log(0.4)])
-N_TOP = 70  # two chunks
+N_TOP = 70  # two chunks at the default PASS_DOUBLES
 
 
 def two_level_data(seed=0):
@@ -81,7 +82,7 @@ def no_level_data(n=5000, seed=1):
 def test_two_level_matches_multivariate_normal():
     data = two_level_data()
     eng = engine(TWO_LEVEL_SPEC, data)
-    assert len(eng.chunks) == -(-N_TOP // CHUNK_CLUSTERS) == 2
+    assert len(eng.chunks) == 2  # 36 4-row clusters on 15 x 15 nodes, then 34
     got = eng.cluster_logliks(TWO_LEVEL_PARAMS)
     mu, sd_e, sd_p, sd_s = TWO_LEVEL_PARAMS[0], *np.exp(TWO_LEVEL_PARAMS[1:])
     p, s, y = data.column("p"), data.column("s"), data.column("y")
@@ -95,12 +96,15 @@ def test_two_level_matches_multivariate_normal():
 
 
 def test_bincount_reduction_matches_scatter_oracle(monkeypatch):
+    # 18-row chunks of the two-level model, 273 of the one-level and 4096
+    # of the model without levels
+    monkeypatch.setattr(estimation, "PASS_DOUBLES", 4096)
     two = engine(TWO_LEVEL_SPEC, two_level_data())
     # the same rows as 4-row clusters of one level: a sum of 3 or more
     # terms is where a segmented reduction would round differently
     one = engine("levels = p\nip = 15\ngaussian : y ~ M1[p]*1\n", two_level_data())
     flat = engine("gaussian : y ~ x\n", no_level_data())
-    assert len(flat.chunks) == 2
+    assert [len(eng.chunks) for eng in (two, one, flat)] == [18, 2, 2]
     cases = [(eng, theta + d)
              for eng, theta in ((two, TWO_LEVEL_PARAMS), (one, start_values(one)),
                                 (flat, start_values(flat)))

@@ -20,7 +20,7 @@ from jointfit.estimation import (_BIG, GRAD_STEP, _bfgs_gradient, _neg_loglik, c
 from jointfit.evaluator import Evaluator
 
 from conftest import make_dataset, sim_lmm
-from test_batch import MODELS, TestPenalty, _engine, _points
+from test_batch import MODELS, TestPenalty, _engine, _model, _points
 from test_reduction import no_level_data
 from test_time_blocks import JOINT_SPEC, joint_data
 
@@ -31,9 +31,8 @@ def _labels(eng, idx):
 
 @pytest.mark.filterwarnings("ignore:correlation matrix of dimension 2:RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_score_matches_central_differences(name):
-    spec_text, make_data, _, _ = MODELS[name]
-    eng = _engine(spec_text, make_data())
+def test_score_matches_central_differences(monkeypatch, name):
+    eng = _engine(*_model(monkeypatch, name))
     for x in _points(name, eng, n_points=3):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             got = eng.score(x)
@@ -49,16 +48,19 @@ def test_score_matches_central_differences(name):
 def test_score_is_bitwise_invariant_to_the_chunk_partition(monkeypatch):
     # cold, and warm from a one-point evaluation at the same point
     shared_text, shared_data, _, _ = MODELS["shared_re"]
-    cases = [("CHUNK_CLUSTERS", "levels = id\ngaussian : y ~ x + M1[id]*1",
-              sim_lmm(150, 4, 1.0, 0.5, sd_b=0.4, sd_e=0.4, seed=4), 150, (1, 7, 64)),
-             ("CHUNK_CLUSTERS", shared_text, shared_data(), 90, (1, 7, 64)),
-             ("CHUNK_ROWS", "gaussian : y ~ x", no_level_data(), 5000, (999, 4096, 5000))]
-    for const, text, data, n, sizes in cases:
+    # (PASS_DOUBLES, chunks): 4-row clusters on 7 nodes; 2- to 5-row
+    # clusters on 35 nodes; rows
+    cases = [("levels = id\ngaussian : y ~ x + M1[id]*1",
+              sim_lmm(150, 4, 1.0, 0.5, sd_b=0.4, sd_e=0.4, seed=4),
+              ((1, 150), (7 * 4 * 7, 22), (64 * 4 * 7, 3), (2**30, 1))),
+             (shared_text, shared_data(), ((1, 90), (50 * 35, 9), (2**30, 1))),
+             ("gaussian : y ~ x", no_level_data(), ((1, 5000), (999, 6), (4096, 2), (5000, 1)))]
+    for text, data, partitions in cases:
         results = []
-        for size in sizes:
-            monkeypatch.setattr(estimation, const, size)
+        for budget, n_chunks in partitions:
+            monkeypatch.setattr(estimation, "PASS_DOUBLES", budget)
             eng = _engine(text, data)
-            assert len(eng.chunks) == -(-n // size)
+            assert len(eng.chunks) == n_chunks
             x = start_values(eng) + 0.1
             cold = eng.score(x)
             eng.total_loglik(x)
@@ -135,8 +137,7 @@ class TestFallback:
 
 @pytest.mark.parametrize("name", ["shared_re", "ev_rcs", "no_levels_2_chunks", "user"])
 def test_score_reuses_the_one_point_evaluation(monkeypatch, name):
-    spec_text, make_data, _, _ = MODELS[name]
-    data = make_data()
+    spec_text, data = _model(monkeypatch, name)
     warm, cold = _engine(spec_text, data), _engine(spec_text, data)
     x = _points(name, warm)[1]
     want = cold.score(x)
