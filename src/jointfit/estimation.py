@@ -34,9 +34,13 @@ within the same PASS_DOUBLES.
 The optimizer is BFGS, whose gradient is the engine's score: the
 derivative of a cluster's log-likelihood is the posterior-weighted sum of
 its rows' derivatives (Louis 1982).  The reduction of one point's row sums
-gives every row a posterior weight per node, and each submodel's rows are
-differenced centrally in the parameters they depend on only, so a
-coefficient of one submodel re-evaluates that submodel alone.  A one-point
+gives every row a posterior weight per node.  Where the family provides
+derivative kernels and the rows need no link, bhazard or correlation
+parameter, a submodel's row derivatives are analytic: dl/deta times
+d eta/d theta (Evaluator.eta_gradient), and dl/dap for an ancillary.
+Every other submodel's rows are differenced centrally in the parameters
+they depend on only, so a coefficient of one submodel re-evaluates that
+submodel alone.  A one-point
 evaluation keeps its reduction, so the score at the point the line search
 has just accepted does not evaluate it again.  Where the score is not
 finite or cannot be evaluated, BFGS takes central differences of the whole
@@ -131,10 +135,12 @@ class LikelihoodEngine:
         rows = max((len(c["rows"]) for c in self.chunks), default=1)
         self.batch = max(1, PASS_DOUBLES // (rows * self.nq))
         self.deps = self._dependencies()
+        self.analytic = [self._analytic(i) for i in range(len(self.deps))]
         # total_loglik calls and points, and score calls, so far
         self.calls = self.points = self.scores = 0
-        log.debug("engine: %d chunks, at most %d rows, %d nodes, %d points per pass",
-                  len(self.chunks), rows, self.nq, self.batch)
+        log.debug("engine: %d chunks, at most %d rows, %d nodes, %d points per pass; "
+                  "analytic scores: %s", len(self.chunks), rows, self.nq, self.batch,
+                  ", ".join(str(i + 1) for i, a in enumerate(self.analytic) if a) or "none")
 
     # -- chunk partition (bounds a pass's memory; one frame per submodel) --
 
@@ -194,6 +200,20 @@ class LikelihoodEngine:
                 reach = self._predictor_params(i) | set(self.ev.subs[i].ap_idx)
                 out.append(np.asarray(sorted(reach), dtype=int))
         return out
+
+    def _analytic(self, i) -> bool:
+        """Whether score takes submodel i's row derivatives in closed form:
+        its family has derivative kernels (a closed-form survival family
+        only without time-varying columns, whose Lambda0 is then closed
+        form), and it has no link element, no bhazard and no atanh_corr
+        parameter in its dependency set."""
+        sub, info = self.spec.submodels[i], self.ev.subs[i]
+        fam = families.FAMILIES[sub.family]
+        kernels = (fam.cumhazard_d is not None and not info.has_time if fam.survival
+                   else fam.loglik_d is not None)
+        corr = {k for ks in self.ev.layout.level_corr.values() for k in ks}
+        return (kernels and sub.bhazard_var is None and not corr.intersection(self.deps[i])
+                and not any(el.kind == "link" for col in info.columns for el, _ in col.factors))
 
     def _predictor_params(self, i) -> set[int]:
         """The parameters of submodel i's predictor: its coefficients, the
@@ -360,24 +380,25 @@ class LikelihoodEngine:
         sum of the row derivatives (Louis 1982).
 
         The row weights come from the reduction at x, the one kept by the
-        last one-point evaluation if it was at x.  Each submodel's rows are
-        differenced centrally, with the steps of central_gradient, in the
-        parameters it depends on only; each side
+        last one-point evaluation if it was at x.  The rows of a submodel in
+        self.analytic take their derivatives in closed form, from eta at x
+        and the family's derivative kernels (_analytic_rows).  Every other
+        submodel's rows are differenced centrally, with the steps of
+        central_gradient, in the parameters it depends on only; each side
         is contracted with the weights over the nodes, one chunk at a time
         in passes of self.batch points, before the two are differenced.
         Nodes of weight 0 contribute 0.  The row scores are summed per
         top-level cluster and then over all clusters at once, so the result
-        does not depend on the chunk partition.  NaN where a cluster's log L
-        is not finite."""
+        does not depend on the chunk partition.  NaN where it is not finite,
+        as where a cluster's log L is not."""
         x = np.asarray(x, dtype=float)
         self.scores += 1
-        key, draws, weights = x.tobytes(), None, []
+        key, xdraws, weights = x.tobytes(), self.draws(x), []
         for chunk in self.chunks:
             kept_key, levels = chunk.get("kept", (None, None))
             if kept_key != key:
-                draws = self.draws(x) if draws is None else draws
                 levels = []
-                self._reduce(chunk, self._row_sums(chunk, x, draws), levels=levels)
+                self._reduce(chunk, self._row_sums(chunk, x, xdraws), levels=levels)
             weights.append(self._node_weights(chunk, levels))
         n = len(x)
         if not all(np.all(np.isfinite(W)) for W, _ in weights):
@@ -385,6 +406,13 @@ class LikelihoodEngine:
         points, h = _gradient_points(x, GRAD_STEP)
         S = [np.zeros((len(chunk["rows"]), n)) for chunk in self.chunks]
         for i, deps in enumerate(self.deps):
+            if self.analytic[i]:
+                for chunk, (W, unit), rows in zip(self.chunks, weights, S):
+                    local, at = chunk["subs"][i]
+                    if len(local):
+                        rows[np.ix_(local, deps)] += self._analytic_rows(
+                            i, x, xdraws, at, W[unit[local]], deps)
+                continue
             side_points = points[(2 * deps[:, None] + np.arange(2)).ravel()]
             passes = [self._columns(side_points[s:s + self.batch])
                       for s in range(0, len(side_points), self.batch)]
@@ -407,7 +435,42 @@ class LikelihoodEngine:
         clusters = [np.bincount((chunk["top"][:, None] * n + np.arange(n)).ravel(),
                                 weights=rows.ravel()).reshape(-1, n)
                     for chunk, rows in zip(self.chunks, S)]
-        return np.sum(np.concatenate(clusters), axis=0) if clusters else np.zeros(n)
+        g = np.sum(np.concatenate(clusters), axis=0) if clusters else np.zeros(n)
+        return np.where(np.isfinite(g), g, np.nan)
+
+    def _analytic_rows(self, i, x, draws, at, Wl, deps) -> np.ndarray:
+        """Submodel i's closed-form row scores at x on a chunk's kept frame,
+        (rows, len(deps)) in the order of deps, from the rows' node weights
+        Wl: sum_q Wl dl/deta d eta/d theta for a parameter of the predictor
+        and sum_q Wl dl/dap for an ancillary.  A survival row has
+        l = d (eta + log h0) - exp(eta) Lambda0, so dl/deta = d - H."""
+        fam = families.FAMILIES[self.spec.submodels[i].family]
+        eta, d_eta = self.ev.eta_gradient(x, i, at, draws)
+        ap = self.ev._ap(x, i)
+        if fam.survival:
+            t, d = at.t[:, None], at.y[:, 1:2]
+            e = np.exp(eta)
+            dl = d - e * fam.cumhazard(t, ap)
+            dap = [d * dh - e * dc
+                   for dc, dh in zip(fam.cumhazard_d(t, ap), fam.log_hazard_d(t, ap))]
+        else:
+            dl, dap = fam.loglik_d(at.y[:, None], eta, ap)
+        # a node of weight 0 contributes 0, though a kernel may be inf or
+        # nan there
+        zero = None if np.all(Wl) else Wl == 0
+
+        def weighted(v):
+            return (v if zero is None else np.where(zero, 0.0, v)) * Wl
+        out = np.zeros((len(Wl), len(deps)))
+        col = {k: j for j, k in enumerate(deps)}
+        G = weighted(dl)
+        G_rows = np.sum(G, axis=-1)
+        for k, v in d_eta.items():
+            # a column without random effects is (rows, 1)
+            out[:, col[k]] = G_rows * v[:, 0] if v.shape[1] == 1 else np.sum(G * v, axis=-1)
+        for k, v in zip(self.ev.subs[i].ap_idx, dap):
+            out[:, col[k]] = np.sum(weighted(v), axis=-1)
+        return out
 
 
 # ---------------------------------------------------------------------------

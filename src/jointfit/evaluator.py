@@ -99,6 +99,7 @@ class ParamLayout:
         self.labels: list[str] = []
         self.level_log_sd: dict[str, list[int]] = {}
         self.level_corr: dict[str, list[int]] = {}
+        self.log_sd_of: dict[str, int] = {}     # random effect -> its log_sd
 
     def add(self, label: str) -> int:
         self.labels.append(label)
@@ -156,6 +157,7 @@ class Evaluator:
             self.layout.level_log_sd[level] = [
                 self.layout.add(f"log_sd({name})") for name in names
             ]
+            self.layout.log_sd_of.update(zip(names, self.layout.level_log_sd[level]))
             corr_idx = []
             if spec.covariance == "unstructured" and len(names) > 1:
                 for a in range(1, len(names)):
@@ -326,10 +328,40 @@ class Evaluator:
         Each time-varying element is evaluated once per call, for every
         column that uses it; a kept frame keeps the values that do not
         depend on the parameters for later calls."""
-        info = self.subs[sub_idx]
         nq = _width(params, draws)
+        acc = np.zeros((len(at.rows), nq))
+        for col, v in self._column_values(params, sub_idx, at, draws, nq, order):
+            coef = 1.0 if col.param is None else params[col.param]
+            acc = acc + coef * v
+        return acc
+
+    def eta_gradient(self, params, sub_idx, at: Frame, draws):
+        """eta on a frame, with the bits of eta(), and d eta / d theta for
+        each parameter of a predictor without link elements, (n, 1) or
+        (n, nq) by parameter index: a coefficient's column value, and for
+        log_sd(Mk) the sum of coef x column value over the columns that use
+        Mk, once per use, since d b_k / d log_sd_k = b_k under every
+        covariance structure.  The atanh_corr parameters are not covered."""
+        nq = _width(params, draws)
+        acc = np.zeros((len(at.rows), nq))
+        out: dict[int, np.ndarray] = {}
+        for col, v in self._column_values(params, sub_idx, at, draws, nq, "value"):
+            coef = 1.0 if col.param is None else params[col.param]
+            acc = acc + coef * v
+            if col.param is not None:
+                out[col.param] = v
+            for name in col.re_names:
+                k = self.layout.log_sd_of[name]
+                out[k] = out[k] + coef * v if k in out else coef * v
+        return acc, out
+
+    def _column_values(self, params, sub_idx, at: Frame, draws, nq, order):
+        """Each column of the predictor with its value on the frame without
+        the coefficient, or its time derivative/integral; a derivative of a
+        time-constant column (0) is skipped.  Each time-varying element is
+        evaluated once, for every column that uses it."""
+        info = self.subs[sub_idx]
         rows, t = at.rows, at.t
-        acc = np.zeros((len(rows), nq))
         calls: dict[tuple[int, str], np.ndarray] = {}
 
         def factor(el, bi, forder):
@@ -339,7 +371,6 @@ class Evaluator:
             return [col.static[rows] for col in info.columns]
         statics = make_statics() if at.block else at.keep(("static", sub_idx), make_statics)
         for col, s in zip(info.columns, statics):
-            coef = 1.0 if col.param is None else params[col.param]
             if col.re_names:
                 r = np.ones(nq)
                 for name in col.re_names:
@@ -373,8 +404,7 @@ class Evaluator:
                             out = fv if out is None else out * fv
                         return out
                     v = base * integrate_to(prod_val, at, TIME_GL_POINTS)
-            acc = acc + coef * v
-        return acc
+            yield col, v
 
     def expval(self, params, sub_idx, at: Frame, draws, order="value"):
         """Expected response of a submodel and its time derivatives/integral."""

@@ -5,6 +5,12 @@ record of all that other modules read about it (see the field comments).
 the log cumulative hazard.  The module functions are one-line lookups into
 the table; the survival calculus lives in the evaluator.
 
+The derivative kernels give the likelihood engine's score closed-form row
+derivatives: dl/deta and dl/dap of the scalar kernel (gaussian, bernoulli,
+poisson), and dLambda0/dap and d(log h - eta)/dap of the closed-form
+survival families, whose dl/deta is d - H.  A family without them (None)
+has its rows differenced centrally.
+
 Every kernel is elementwise.  An ancillary ap[k] is a scalar for one
 parameter point or a row of one value per node column for a batch of
 points (see estimation.LikelihoodEngine), and times come as a column
@@ -39,6 +45,10 @@ class Family:
     baseline_in_eta: bool = False       # the formula carries the time baseline
     start: Callable | None = None       # y -> (intercept, ancillary) start values
     user: bool = False                  # log-likelihood from a registered userf
+    # derivative kernels, None where the score differences the rows:
+    loglik_d: Callable | None = None    # (y, eta, ap) -> (dl/deta, (dl/dap[k], ...))
+    cumhazard_d: Callable | None = None   # (t, ap) -> (dLambda0/dap[k], ...)
+    log_hazard_d: Callable | None = None  # (t, ap) -> (d(log h - eta)/dap[k], ...)
 
 
 def _logit_d1(eta):
@@ -64,6 +74,11 @@ LOG = Link(np.exp, np.exp, np.exp, lambda m: np.log(max(m, 1e-3)))
 def _gaussian(y, eta, ap):
     log_sd = ap[0]
     return -0.5 * LOG_2PI - log_sd - (y - eta) ** 2 / (2.0 * np.exp(2.0 * log_sd))
+
+
+def _gaussian_d(y, eta, ap):
+    z2 = (y - eta) / np.exp(2.0 * ap[0])
+    return z2, (z2 * (y - eta) - 1.0,)
 
 
 def _negbinomial(y, eta, ap):
@@ -94,9 +109,30 @@ def _gompertz_lambda0(t, ap):
     return np.where(small, t, np.expm1(safe * t) / safe)
 
 
+def _gompertz_lambda0_d(t, ap):
+    """dLambda0/dgamma = t^2 (u e^u - e^u + 1) / u^2 with u = gamma t, as
+    (expm1(u) (u - 1) + u) / u^2, which does not overflow to inf - inf, and
+    by its Taylor series where |u| < 1e-3 (t^2 / 2 at gamma = 0), which the
+    difference would lose to cancellation."""
+    u = ap[0] * t
+    small = np.abs(u) < 1e-3
+    safe = np.where(small, 1.0, u)
+    series = 0.5 + u * (1.0 / 3.0 + u * (1.0 / 8.0 + u * (1.0 / 30.0 + u / 144.0)))
+    return (t * t * np.where(small, series, (np.expm1(safe) * (safe - 1.0) + safe) / safe**2),)
+
+
 def _weibull_offset(t, ap):
     gamma = np.exp(ap[0])
     return np.log(gamma) + (gamma - 1.0) * np.log(t)
+
+
+def _weibull_lambda0_d(t, ap):
+    gamma = np.exp(ap[0])
+    return (t**gamma * gamma * np.log(t),)
+
+
+def _weibull_offset_d(t, ap):
+    return (1.0 + np.exp(ap[0]) * np.log(t),)
 
 
 def _rate_start(y):
@@ -118,21 +154,27 @@ def _user_start(y):
 
 
 FAMILIES = {
-    "gaussian": Family(("log_sd(resid.)",), IDENTITY, _gaussian, start=_gaussian_start),
+    "gaussian": Family(("log_sd(resid.)",), IDENTITY, _gaussian, start=_gaussian_start,
+                       loglik_d=_gaussian_d),
     # y*eta - log(1 + exp(eta)), stable via logaddexp
     "bernoulli": Family((), LOGIT, lambda y, eta, ap: y * eta - np.logaddexp(0.0, eta),
-                        start=_mean_start(LOGIT)),
+                        start=_mean_start(LOGIT),
+                        loglik_d=lambda y, eta, ap: (y - expit(eta), ())),
     "poisson": Family((), LOG, lambda y, eta, ap: y * eta - np.exp(eta) - gammaln(y + 1.0),
-                      start=_mean_start(LOG)),
+                      start=_mean_start(LOG),
+                      loglik_d=lambda y, eta, ap: (y - np.exp(eta), ())),
     "beta": Family(("log_phi",), LOGIT, _beta, start=_mean_start(LOGIT)),
     "negbinomial": Family(("log_alpha",), LOG, _negbinomial, start=_mean_start(LOG)),
     "exponential": Family(survival=True, cumhazard=lambda t, ap: t,
-                          log_hazard=lambda t, ap: np.zeros_like(t), start=_rate_start),
+                          log_hazard=lambda t, ap: np.zeros_like(t), start=_rate_start,
+                          cumhazard_d=lambda t, ap: (), log_hazard_d=lambda t, ap: ()),
     "weibull": Family(("log(gamma)",), survival=True,
                       cumhazard=lambda t, ap: t**np.exp(ap[0]),
-                      log_hazard=_weibull_offset, start=_rate_start),
+                      log_hazard=_weibull_offset, start=_rate_start,
+                      cumhazard_d=_weibull_lambda0_d, log_hazard_d=_weibull_offset_d),
     "gompertz": Family(("gamma",), survival=True, cumhazard=_gompertz_lambda0,
-                       log_hazard=lambda t, ap: ap[0] * t, start=_rate_start),
+                       log_hazard=lambda t, ap: ap[0] * t, start=_rate_start,
+                       cumhazard_d=_gompertz_lambda0_d, log_hazard_d=lambda t, ap: (t,)),
     "rp": Family(survival=True, baseline_in_eta=True, start=_rate_start),
     "loghazard": Family(survival=True, log_hazard=lambda t, ap: np.zeros_like(t),
                         baseline_in_eta=True, start=_rate_start),

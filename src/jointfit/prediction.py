@@ -53,6 +53,9 @@ class FittedModel:
         self.params = np.asarray(fit.estimates, dtype=float)
 
     def _with_overrides(self, at: dict[str, float]) -> "FittedModel":
+        """A clone on the data with the at overrides.  It shares the
+        engine, whose draws, zero draws and weights, all that a prediction
+        reads of it, depend on the spec and the seed alone."""
         if not at:
             return self
         clone = object.__new__(FittedModel)
@@ -60,7 +63,7 @@ class FittedModel:
         clone.spec = self.spec
         clone.data = self.data.with_overrides(at)
         clone.ev = Evaluator(self.spec, clone.data, bases=self.ev.bases)
-        clone.engine = LikelihoodEngine(clone.ev, seed=self.fit.seed)
+        clone.engine = self.engine
         clone.params = self.params
         return clone
 

@@ -87,6 +87,19 @@ def _unstructured_data():
                          "y": rng.normal(size=120)}, levels=("id",))
 
 
+def _glmm_data(levels=("id",)):
+    """40 clusters id of 3 rows, paired into 20 clusters p; normal x, and
+    a binary yb and a count yc with a random intercept and a random slope
+    on x by cluster id."""
+    rng = np.random.default_rng(7)
+    ids = np.repeat(np.arange(40.0), 3)
+    x = rng.normal(size=len(ids))
+    eta = 0.3 + 0.5 * x + rng.normal(0.0, 0.5, 40)[ids.astype(int)] * (1.0 + 0.6 * x)
+    return make_dataset({"id": ids, "p": ids // 2, "x": x,
+                         "yb": (rng.random(len(ids)) < 1.0 / (1.0 + np.exp(-eta))) * 1.0,
+                         "yc": rng.poisson(np.exp(eta)) * 1.0}, levels=levels)
+
+
 # name: spec, data, parameters (None: start values), and a function that
 # sets special values in some rows of the batch
 MODELS = {
@@ -116,6 +129,21 @@ MODELS = {
             JOINT_PARAMS, None),
     "user": ("levels = id\nuser : y ~ x + M1[id]*1 + ap(1) | userf=logl_gaussian",
              lambda: sim_lmm(80, 3, 1.0, 0.5, sd_b=0.4, sd_e=0.5, seed=3), None, None),
+    # closed-form row scores: random intercepts and slopes, a time spline,
+    # a free loading (gompertz gamma starts at 0 exactly) and two levels
+    "bernoulli_slope": ("levels = id\nip = 5\nbernoulli : yb ~ x + M1[id]*1 + M2[id]:x*1\n",
+                        _glmm_data, None, None),
+    "poisson_slope": ("levels = id\nip = 5\npoisson : yc ~ x + M1[id]*1 + M2[id]:x*1\n",
+                      _glmm_data, None, None),
+    "gaussian_rcs": ("levels = id\nip = 7\n"
+                     "gaussian : y ~ rcs(time, df = 3) + M1[id]*1 | timevar=time\n",
+                     lambda: sim_joint(40, assoc=0.0, seed=5), None, None),
+    "gompertz_loading": ("levels = id\nip = 7\n"
+                         "gompertz : Surv(st, sd) ~ M1[id] | timevar=st\n"
+                         "gaussian : y ~ time + M1[id]*1 | timevar=time\n",
+                         lambda: sim_joint(40, assoc=0.8, seed=6), None, None),
+    "two_level_poisson": ("levels = p,id\nip = 5\npoisson : yc ~ x + M1[p]*1 + M2[id]:x*1\n",
+                          lambda: _glmm_data(("p", "id")), None, None),
 }
 
 

@@ -186,10 +186,16 @@ class TestChunks:
         with caplog.at_level(logging.DEBUG, logger="jointfit.estimation"):
             engine_for(TWO_LEVEL_SPEC, two_level_data())
             engine_for("gaussian : y ~ x", no_level_data())
+            engine_for("rp : Surv(t, d) ~ x + rcs(t, df = 3, log = TRUE) | timevar=t",
+                       sim_weibull(300, lam=0.1, gamma=1.4, beta=0.5, seed=2))
         records = [r.getMessage() for r in caplog.records if r.name == "jointfit.estimation"]
         assert records == [
-            "engine: 2 chunks, at most 144 rows, 225 nodes, 1 points per pass",
-            "engine: 1 chunks, at most 5000 rows, 1 nodes, 6 points per pass"]
+            "engine: 2 chunks, at most 144 rows, 225 nodes, 1 points per pass; "
+            "analytic scores: 1",
+            "engine: 1 chunks, at most 5000 rows, 1 nodes, 6 points per pass; "
+            "analytic scores: 1",
+            "engine: 1 chunks, at most 300 rows, 1 nodes, 109 points per pass; "
+            "analytic scores: none"]
 
 
 class TestMaximize:

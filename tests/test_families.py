@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 from scipy.stats import beta as beta_dist
 from scipy.stats import nbinom, norm, poisson
@@ -269,3 +271,77 @@ class TestFamilyTable:
         eng = LikelihoodEngine(Evaluator(spec, d))
         assert eng.ev.layout.labels == labels
         assert np.isfinite(eng.total_loglik(start_values(eng)))
+
+
+def _fd4(f, v):
+    """Fourth-order central difference of the scalar function f at v."""
+    h = 1e-3 * max(1.0, abs(v))
+    return (f(v - 2 * h) - 8 * f(v - h) + 8 * f(v + h) - f(v + 2 * h)) / (12 * h)
+
+
+def _close(got, want):
+    got, want = np.asarray(got).item(), np.asarray(want).item()
+    return abs(got - want) <= 1e-7 * max(1.0, abs(want))
+
+
+_ETA = st.floats(-5.0, 5.0)
+
+
+class TestDerivativeKernels:
+    """Each derivative kernel against a central difference of the kernel it
+    differentiates, on one row."""
+
+    def _check_scalar(self, family, y, eta, ap):
+        rec = families.FAMILIES[family]
+        y, e, ap = np.asarray([[y]]), np.asarray([[eta]]), np.asarray(ap, dtype=float)
+        d_eta, d_ap = rec.loglik_d(y, e, ap)
+        assert _close(d_eta, _fd4(lambda v: rec.loglik(y, np.asarray([[v]]), ap), eta))
+        assert len(d_ap) == len(ap) == len(rec.ancillary)
+        for k, got in enumerate(d_ap):
+            def moved(v, k=k):
+                a = ap.copy()
+                a[k] = v
+                return rec.loglik(y, e, a)
+            assert _close(got, _fd4(moved, ap[k]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(y=st.floats(-5.0, 5.0), eta=_ETA, log_sd=st.floats(-2.0, 2.0))
+    def test_gaussian(self, y, eta, log_sd):
+        self._check_scalar("gaussian", y, eta, [log_sd])
+
+    @settings(max_examples=200, deadline=None)
+    @given(y=st.sampled_from([0.0, 1.0]), eta=st.floats(-10.0, 10.0))
+    def test_bernoulli(self, y, eta):
+        self._check_scalar("bernoulli", y, eta, [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(y=st.integers(0, 20), eta=st.floats(-3.0, 3.0))
+    def test_poisson(self, y, eta):
+        self._check_scalar("poisson", float(y), eta, [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(["exponential", "weibull", "gompertz"]),
+           t=st.floats(0.05, 5.0), ap=st.one_of(st.just(0.0), st.floats(-1.5, 1.5)))
+    def test_survival(self, family, t, ap):
+        rec = families.FAMILIES[family]
+        t = np.asarray([[t]])
+        ap = np.asarray([ap] if rec.ancillary else [])
+        for kernel, d_kernel in ((rec.cumhazard, rec.cumhazard_d),
+                                 (rec.log_hazard, rec.log_hazard_d)):
+            got = d_kernel(t, ap)
+            assert len(got) == len(ap)
+            for d in got:
+                assert _close(d, _fd4(lambda v: kernel(t, np.asarray([v])), ap[0]))
+
+    def test_gompertz_at_gamma_zero(self):
+        t = np.asarray([[0.5], [2.0], [4.0]])
+        d_lambda0, = families.FAMILIES["gompertz"].cumhazard_d(t, np.zeros(1))
+        assert np.array_equal(d_lambda0, t * t / 2.0)
+
+    def test_kernels_only_where_scores_are_analytic(self):
+        with_d = {f for f, rec in families.FAMILIES.items()
+                  if rec.loglik_d is not None or rec.cumhazard_d is not None}
+        assert with_d == {"gaussian", "bernoulli", "poisson",
+                          "exponential", "weibull", "gompertz"}
+        for f in ("exponential", "weibull", "gompertz"):
+            assert families.FAMILIES[f].log_hazard_d is not None

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import jointfit as jf
-from jointfit.estimation import FitResult
-from jointfit.evaluator import EvalError
+from jointfit.estimation import FitResult, LikelihoodEngine
+from jointfit.evaluator import EvalError, Evaluator
 from jointfit.prediction import FittedModel, PredictRequest, predict_stat
 
 from conftest import fit_spec, make_dataset, sim_lmm, sim_weibull
@@ -254,3 +254,53 @@ class TestMarginal:
         mg = predict(model, statistic="survival", times=tt, type="marginal")
         # averaging over the frailty draws must move the curve
         assert np.max(np.abs(mg["values"] - fx["values"])) > 1e-4
+
+
+class TestOverrides:
+    SPEC = ("levels = id\nip = 7\nweibull : Surv(t, d1) ~ x + M1[id]*1\n"
+            "exponential : Surv(t, d2) ~ x\n")
+    # x, _cons, log(gamma), x, _cons, log_sd(M1)
+    ESTIMATES = [0.4, np.log(0.15), np.log(1.2), -0.3, np.log(0.1), np.log(0.6)]
+
+    def model(self):
+        rng = np.random.default_rng(26)
+        n = 60
+        d = make_dataset({"id": np.repeat(np.arange(20.0), 3), "t": rng.uniform(0.5, 6.0, n),
+                          "d1": (rng.random(n) < 0.4) * 1.0, "d2": (rng.random(n) < 0.3) * 1.0,
+                          "x": rng.integers(0, 2, n) * 1.0}, levels=("id",))
+        labels = ["x", "_cons", "log(gamma)", "x", "_cons", "log_sd(M1)"]
+        fit = FitResult(np.asarray(self.ESTIMATES), labels, None, 0.0, 0, True,
+                        self.SPEC, ("ghermite",), (7,), 0)
+        return FittedModel(fit, d)
+
+    def request(self):
+        return PredictRequest("cifdifference", predmodel=1, type="marginal",
+                              contrast=("x", 0.0, 1.0), times=np.asarray([2.0]))
+
+    def test_at_override_shares_the_engine(self, monkeypatch):
+        built = []
+        init = LikelihoodEngine.__init__
+
+        def counted(self, *args, **kw):
+            built.append(self)
+            init(self, *args, **kw)
+
+        monkeypatch.setattr(LikelihoodEngine, "__init__", counted)
+        got = predict_stat(self.model(), self.request())
+        assert len(built) == 1
+
+        # the clone with an engine of its own, as each override had before
+        def own_engine(model, at):
+            clone = FittedModel.__new__(FittedModel)
+            clone.fit, clone.spec, clone.params = model.fit, model.spec, model.params
+            clone.data = model.data.with_overrides(at)
+            clone.ev = Evaluator(model.spec, clone.data, bases=model.ev.bases)
+            clone.engine = LikelihoodEngine(clone.ev, seed=model.fit.seed)
+            return clone
+
+        monkeypatch.setattr(FittedModel, "_with_overrides", own_engine)
+        want = predict_stat(self.model(), self.request())
+        assert len(built) == 4  # one more model, and an engine per contrast value
+        assert np.any(got["values"] != 0.0)
+        for key in ("rows", "times", "values"):
+            assert np.array_equal(got[key], want[key])

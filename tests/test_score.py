@@ -1,12 +1,13 @@
 """The score: the gradient of log L as the posterior-weighted sum of the
 row derivatives.
 
-LikelihoodEngine.score weights each row's central differences, taken only
-in the parameters its submodel depends on, by the posterior of the random
-effects at the point, and BFGS takes its gradient from it.  It must match
-central differences of the whole likelihood, keep its bits across chunk
-partitions, and give way to those central differences where it is not
-finite.
+LikelihoodEngine.score weights each row's derivatives by the posterior of
+the random effects at the point, and BFGS takes its gradient from it.  The
+derivatives are closed form for the submodels in engine.analytic, else
+central differences taken only in the parameters the submodel depends on.
+It must match central differences of the whole likelihood, keep its bits
+across chunk partitions, and give way to those central differences where
+it is not finite.
 """
 
 from functools import partial
@@ -20,7 +21,7 @@ from jointfit.estimation import (_BIG, GRAD_STEP, _bfgs_gradient, _neg_loglik, c
 from jointfit.evaluator import Evaluator
 
 from conftest import make_dataset, sim_lmm
-from test_batch import MODELS, TestPenalty, _engine, _model, _points
+from test_batch import MODELS, TestPenalty, _engine, _glmm_data, _model, _points
 from test_reduction import no_level_data
 from test_time_blocks import JOINT_SPEC, joint_data
 
@@ -137,6 +138,8 @@ class TestFallback:
 
 @pytest.mark.parametrize("name", ["shared_re", "ev_rcs", "no_levels_2_chunks", "user"])
 def test_score_reuses_the_one_point_evaluation(monkeypatch, name):
+    # only a submodel whose rows are differenced centrally calls
+    # loglik_matrix in score; a closed-form one evaluates eta at x
     spec_text, data = _model(monkeypatch, name)
     warm, cold = _engine(spec_text, data), _engine(spec_text, data)
     x = _points(name, warm)[1]
@@ -152,6 +155,64 @@ def test_score_reuses_the_one_point_evaluation(monkeypatch, name):
 
     monkeypatch.setattr(Evaluator, "loglik_matrix", recorded)
     got = warm.score(x)
-    assert seen and not any(np.array_equal(point, x) for point in seen)
+    assert bool(seen) == (name in ("ev_rcs", "user"))
+    assert not any(np.array_equal(point, x) for point in seen)
     assert np.array_equal(got, want)
     assert (warm.scores, warm.calls, warm.points) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("name, analytic", [
+    ("shared_re", [True, True]),
+    ("ev_rcs", [True, False]),         # the hazard reaches y through EV[y]
+    ("gompertz_loading", [True, True]),
+    ("two_level_poisson", [True]),
+    ("rp", [False]),
+    ("user", [False]),
+    ("bhazard", [False]),
+    ("unstructured_projected", [False]),  # atanh_corr reaches the rows
+])
+def test_closed_form_row_scores(monkeypatch, name, analytic):
+    assert _engine(*_model(monkeypatch, name)).analytic == analytic
+
+
+def test_time_varying_survival_predictor_is_differenced():
+    eng = _engine("weibull : Surv(t, d) ~ x + x:fp(t, powers = c(0)) | timevar=t\n"
+                  "gaussian : y ~ x + XB[1] | timevar=t\n", _data())
+    assert eng.analytic == [False, False]
+
+
+@pytest.mark.parametrize("name", ["shared_re", "gaussian_rcs", "bernoulli_slope",
+                                  "two_level_poisson"])
+def test_eta_gradient(monkeypatch, name):
+    # eta with the bits of Evaluator.eta, and each derivative against
+    # central differences of eta at fixed standard-normal nodes
+    eng = _engine(*_model(monkeypatch, name))
+    x = _points(name, eng)[1]
+    for i, analytic in enumerate(eng.analytic):
+        assert analytic
+        at = eng.chunks[0]["subs"][i][1]
+        eta, grad = eng.ev.eta_gradient(x, i, at, eng.draws(x))
+        assert np.array_equal(eta, eng.ev.eta(x, i, at, eng.draws(x)))
+        assert sorted(grad) == sorted(set(eng.deps[i]) - set(eng.ev.subs[i].ap_idx))
+        for k, got in grad.items():
+            h = GRAD_STEP * max(1.0, abs(x[k]))
+            up, down = x.copy(), x.copy()
+            up[k] += h
+            down[k] -= h
+            want = (eng.ev.eta(up, i, at, eng.draws(up))
+                    - eng.ev.eta(down, i, at, eng.draws(down))) / (2.0 * h)
+            assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, np.max(np.abs(want)))
+
+
+def test_zero_weight_nodes_contribute_zero():
+    # at log_sd(M1) = log 300, exp(eta) overflows on most nodes: log L is
+    # -inf there, the posterior weight 0 and dl/deta = y - inf
+    eng = _engine("levels = id\nip = 7\npoisson : yc ~ x + M1[id]*1\n", _glmm_data())
+    assert eng.analytic == [True]
+    x = start_values(eng)
+    x[-1] = np.log(300.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = eng.score(x)
+        want = central_gradient(eng.total_loglik, x, GRAD_STEP)
+    assert np.all(np.isfinite(want))
+    assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, np.max(np.abs(want)))
