@@ -35,20 +35,23 @@ The optimizer is BFGS, whose gradient is the engine's score: the
 derivative of a cluster's log-likelihood is the posterior-weighted sum of
 its rows' derivatives (Louis 1982).  The reduction of one point's row sums
 gives every row a posterior weight per node.  Where the family provides
-derivative kernels and the rows need no link, bhazard or correlation
-parameter, a submodel's row derivatives are analytic: dl/deta times
-d eta/d theta (Evaluator.eta_gradient), and dl/dap for an ancillary.
-Every other submodel's rows are differenced centrally in the parameters
-they depend on only, so a coefficient of one submodel re-evaluates that
-submodel alone.  A one-point
-evaluation keeps its reduction, so the score at the point the line search
-has just accepted does not evaluate it again.  Where the score is not
-finite or cannot be evaluated, BFGS takes central differences of the whole
-likelihood, which carry the _BIG penalty.  The standard errors come from
-the Hessian of symmetric second differences, whose p^2 + p + 1 points are
-f at the estimates, one step either way on each axis and one step either
-way on each pair of axes; they go to the engine in one call, and the line
-search evaluates one point at a time.
+derivative kernels, every link reachable from the predictor is EV[] or
+XB[], and the rows need no bhazard or correlation parameter, a
+submodel's row derivatives are analytic: dl/deta times d eta/d theta
+(Evaluator.eta_gradient, through the links' targets), and dl/dap for an
+ancillary.  A cumulative hazard integrated over time nodes contributes
+the same node sum of h d eta/d theta, on the node blocks of its one-point
+evaluation.  Every other submodel's rows are differenced centrally in the
+parameters they depend on only, so a coefficient of one submodel
+re-evaluates that submodel alone.  A one-point evaluation keeps its
+reduction, so the score at the point the line search has just accepted
+does not evaluate it again.  Where the score is not finite or cannot be
+evaluated, BFGS takes central differences of the whole likelihood, which
+carry the _BIG penalty, and counts them (engine.fallbacks).  The standard
+errors come from the Hessian of symmetric second differences, whose
+p^2 + p + 1 points are f at the estimates, one step either way on each
+axis and one step either way on each pair of axes; they go to the engine
+in one call, and the line search evaluates one point at a time.
 """
 
 import json
@@ -62,9 +65,9 @@ from scipy.stats import norm
 
 from . import families
 from .data import Dataset
-from .evaluator import Evaluator
+from .evaluator import TIME_GL_POINTS, Evaluator
 from .formula import ModelSpec, format_spec
-from .quadrature import CovarianceParam, NodeSet, level_nodes, transform_nodes
+from .quadrature import CovarianceParam, NodeSet, integrate_to, level_nodes, transform_nodes
 
 log = logging.getLogger(__name__)
 
@@ -136,8 +139,9 @@ class LikelihoodEngine:
         self.batch = max(1, PASS_DOUBLES // (rows * self.nq))
         self.deps = self._dependencies()
         self.analytic = [self._analytic(i) for i in range(len(self.deps))]
-        # total_loglik calls and points, and score calls, so far
-        self.calls = self.points = self.scores = 0
+        # total_loglik calls and points, score calls, and gradients that
+        # fell back to central differences of the whole likelihood, so far
+        self.calls = self.points = self.scores = self.fallbacks = 0
         log.debug("engine: %d chunks, at most %d rows, %d nodes, %d points per pass; "
                   "analytic scores: %s", len(self.chunks), rows, self.nq, self.batch,
                   ", ".join(str(i + 1) for i, a in enumerate(self.analytic) if a) or "none")
@@ -203,17 +207,23 @@ class LikelihoodEngine:
 
     def _analytic(self, i) -> bool:
         """Whether score takes submodel i's row derivatives in closed form:
-        its family has derivative kernels (a closed-form survival family
-        only without time-varying columns, whose Lambda0 is then closed
-        form), and it has no link element, no bhazard and no atanh_corr
+        its family has derivative kernels, every link element of its
+        predictor and of its link targets' predictors, at any depth, is a
+        value link (EV[] or XB[]), and it has no bhazard and no atanh_corr
         parameter in its dependency set."""
-        sub, info = self.spec.submodels[i], self.ev.subs[i]
+        sub = self.spec.submodels[i]
         fam = families.FAMILIES[sub.family]
-        kernels = (fam.cumhazard_d is not None and not info.has_time if fam.survival
-                   else fam.loglik_d is not None)
+        kernels = fam.log_hazard_d if fam.survival else fam.loglik_d
         corr = {k for ks in self.ev.layout.level_corr.values() for k in ks}
-        return (kernels and sub.bhazard_var is None and not corr.intersection(self.deps[i])
-                and not any(el.kind == "link" for col in info.columns for el, _ in col.factors))
+        return (kernels is not None and sub.bhazard_var is None
+                and not corr.intersection(self.deps[i]) and self._value_links(i))
+
+    def _value_links(self, i) -> bool:
+        """Whether every link element reachable from submodel i's predictor
+        is EV[] or XB[]."""
+        return all(el.link_kind in ("EV", "XB") and self._value_links(el.target_index)
+                   for col in self.ev.subs[i].columns for el, _ in col.factors
+                   if el.kind == "link")
 
     def _predictor_params(self, i) -> set[int]:
         """The parameters of submodel i's predictor: its coefficients, the
@@ -381,12 +391,14 @@ class LikelihoodEngine:
 
         The row weights come from the reduction at x, the one kept by the
         last one-point evaluation if it was at x.  The rows of a submodel in
-        self.analytic take their derivatives in closed form, from eta at x
-        and the family's derivative kernels (_analytic_rows).  Every other
-        submodel's rows are differenced centrally, with the steps of
-        central_gradient, in the parameters it depends on only; each side
-        is contracted with the weights over the nodes, one chunk at a time
-        in passes of self.batch points, before the two are differenced.
+        self.analytic take their derivatives in closed form, from eta and
+        its gradient at x, at the rows' times and at an integrated
+        cumulative hazard's nodes, and the family's derivative kernels
+        (_analytic_rows).  Every other submodel's rows are differenced
+        centrally, with the steps of central_gradient, in the parameters it
+        depends on only; each side is contracted with the weights over the
+        nodes, one chunk at a time in passes of self.batch points, before
+        the two are differenced.
         Nodes of weight 0 contribute 0.  The row scores are summed per
         top-level cluster and then over all clusters at once, so the result
         does not depend on the chunk partition.  NaN where it is not finite,
@@ -442,33 +454,55 @@ class LikelihoodEngine:
         """Submodel i's closed-form row scores at x on a chunk's kept frame,
         (rows, len(deps)) in the order of deps, from the rows' node weights
         Wl: sum_q Wl dl/deta d eta/d theta for a parameter of the predictor
-        and sum_q Wl dl/dap for an ancillary.  A survival row has
-        l = d (eta + log h0) - exp(eta) Lambda0, so dl/deta = d - H."""
+        and sum_q Wl dl/dap for an ancillary.
+
+        A survival row has l = d (eta(t) + off(t)) - H(t), off = log h - eta.
+        Where H = exp(eta) Lambda0(t), dl/deta = d - H.  Else H is the sum
+        over the Gauss-Legendre nodes u_j of w_j h(u_j), so dl/dtheta =
+        d d eta(t)/dtheta - sum_j w_j h(u_j) d eta(u_j)/dtheta, and the same
+        with off for an ancillary: the exact derivative of the discretized
+        H.  The node terms are contracted with Wl on the node blocks of the
+        one-point H, one eta_gradient per block."""
         fam = families.FAMILIES[self.spec.submodels[i].family]
         eta, d_eta = self.ev.eta_gradient(x, i, at, draws)
-        ap = self.ev._ap(x, i)
-        if fam.survival:
-            t, d = at.t[:, None], at.y[:, 1:2]
-            e = np.exp(eta)
-            dl = d - e * fam.cumhazard(t, ap)
-            dap = [d * dh - e * dc
-                   for dc, dh in zip(fam.cumhazard_d(t, ap), fam.log_hazard_d(t, ap))]
-        else:
-            dl, dap = fam.loglik_d(at.y[:, None], eta, ap)
+        ap, ap_idx = self.ev._ap(x, i), self.ev.subs[i].ap_idx
+        col = {k: j for j, k in enumerate(deps)}
         # a node of weight 0 contributes 0, though a kernel may be inf or
         # nan there
         zero = None if np.all(Wl) else Wl == 0
 
         def weighted(v):
             return (v if zero is None else np.where(zero, 0.0, v)) * Wl
-        out = np.zeros((len(Wl), len(deps)))
-        col = {k: j for j, k in enumerate(deps)}
-        G = weighted(dl)
-        G_rows = np.sum(G, axis=-1)
-        for k, v in d_eta.items():
-            # a column without random effects is (rows, 1)
-            out[:, col[k]] = G_rows * v[:, 0] if v.shape[1] == 1 else np.sum(G * v, axis=-1)
-        for k, v in zip(self.ev.subs[i].ap_idx, dap):
+
+        def contract(G, derivs):
+            # sum_q G d/dtheta, for (parameter, derivative) pairs; a
+            # derivative without random effects is (rows, 1)
+            out = np.zeros((len(G), len(deps)))
+            G_rows = np.sum(G, axis=-1)
+            for k, v in derivs:
+                out[:, col[k]] = G_rows * v[:, 0] if v.shape[1] == 1 else np.sum(G * v, axis=-1)
+            return out
+
+        if not fam.survival:
+            dl, dap = fam.loglik_d(at.y[:, None], eta, ap)
+        elif self.ev.closed_form_cumhazard(i):
+            t, d = at.t[:, None], at.y[:, 1:2]
+            e = np.exp(eta)
+            dl = d - e * fam.cumhazard(t, ap)
+            dap = [d * dh - e * dc
+                   for dc, dh in zip(fam.cumhazard_d(t, ap), fam.log_hazard_d(t, ap))]
+        else:
+            def node_terms(block):
+                b_eta, b_d_eta = self.ev.eta_gradient(x, i, block, draws)
+                u = block.t[:, None]
+                h = np.exp(b_eta + fam.log_hazard(u, ap)).reshape((-1,) + Wl.shape)
+                return contract(weighted(h).reshape(-1, Wl.shape[1]),
+                                [*b_d_eta.items(), *zip(ap_idx, fam.log_hazard_d(u, ap))])
+            events = contract(weighted(at.y[:, 1:2]),
+                              [*d_eta.items(), *zip(ap_idx, fam.log_hazard_d(at.t[:, None], ap))])
+            return events - integrate_to(node_terms, at, TIME_GL_POINTS, width=Wl.shape[1])
+        out = contract(weighted(dl), d_eta.items())
+        for k, v in zip(ap_idx, dap):
             out[:, col[k]] = np.sum(weighted(v), axis=-1)
         return out
 
@@ -601,7 +635,8 @@ def central_hessian(f, x, step_scale):
 def _bfgs_gradient(engine, x):
     """The gradient of -log L at x: minus the engine's score, or, where the
     score is not finite or x cannot be evaluated, the central differences
-    of -log L, whose _BIG penalty keeps the search off invalid points."""
+    of -log L, whose _BIG penalty keeps the search off invalid points;
+    engine.fallbacks counts those."""
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             g = -engine.score(x)
@@ -609,6 +644,7 @@ def _bfgs_gradient(engine, x):
             return g
     except (FloatingPointError, ValueError):
         pass
+    engine.fallbacks += 1
     return central_gradient(partial(_neg_loglik, engine), x, GRAD_STEP)
 
 
@@ -618,8 +654,8 @@ def _bfgs(engine, x0, f0, max_iter: int):
 
     Converged when the gradient inf-norm falls below GRAD_TOL and the
     relative objective change falls below REL_TOL.  Each iteration logs a
-    debug record with the engine's counts of points, calls and scores so
-    far.
+    debug record with the engine's counts of points, calls, scores and
+    central-difference fallbacks so far.
     """
     f = partial(_neg_loglik, engine)
     x = np.asarray(x0, dtype=float)
@@ -668,8 +704,9 @@ def _bfgs(engine, x0, f0, max_iter: int):
         x, fx, g = x_new, f_new, g_new
         it += 1
         log.debug("iteration %d: logL %.10g, max|g| %.3g, alpha %.3g, %d halvings, "
-                  "%d points in %d engine calls, %d scores", it, -fx, np.max(np.abs(g)),
-                  alpha, halvings, engine.points, engine.calls, engine.scores)
+                  "%d points in %d engine calls, %d scores, %d fallbacks", it, -fx,
+                  np.max(np.abs(g)), alpha, halvings, engine.points, engine.calls,
+                  engine.scores, engine.fallbacks)
     if fx >= _BIG:
         # the whole search stayed on the invalid-likelihood penalty plateau;
         # a zero gradient there is not convergence

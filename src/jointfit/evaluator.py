@@ -330,39 +330,77 @@ class Evaluator:
         depend on the parameters for later calls."""
         nq = _width(params, draws)
         acc = np.zeros((len(at.rows), nq))
-        for col, v in self._column_values(params, sub_idx, at, draws, nq, order):
+        for col, _, v in self._column_values(params, sub_idx, at, draws, nq, order, {}):
             coef = 1.0 if col.param is None else params[col.param]
             acc = acc + coef * v
         return acc
 
     def eta_gradient(self, params, sub_idx, at: Frame, draws):
         """eta on a frame, with the bits of eta(), and d eta / d theta for
-        each parameter of a predictor without link elements, (n, 1) or
-        (n, nq) by parameter index: a coefficient's column value, and for
-        log_sd(Mk) the sum of coef x column value over the columns that use
-        Mk, once per use, since d b_k / d log_sd_k = b_k under every
-        covariance structure.  The atanh_corr parameters are not covered."""
+        each parameter of the predictor, (n, 1) or (n, nq) by parameter
+        index: a coefficient's column value; for log_sd(Mk) the sum of
+        coef x column value over the columns that use Mk, once per use,
+        since d b_k / d log_sd_k = b_k under every covariance structure;
+        and for a parameter of an EV[]/XB[] link target, nested to any
+        depth, the column's coefficient times its other factors times
+        d eta_target / d theta, and times mean_d1(eta_target) for EV[].
+        The target's eta and gradient come from one recursive call, its
+        link value is mean_value of that eta (the bits of expval), and
+        the other factors are multiplied out, never divided out of the
+        column value, which can be 0.  The atanh_corr parameters and the
+        other link kinds are not covered."""
         nq = _width(params, draws)
+        calls: dict[tuple[int, str], np.ndarray] = {}
+        targets = {}  # id(link element) -> (eta_target gradient, dmu/deta or None)
+        for col in self.subs[sub_idx].columns:
+            for el, _ in col.time_factors:
+                if el.kind != "link" or id(el) in targets:
+                    continue
+                if el.link_kind not in ("EV", "XB"):
+                    raise EvalError(f"no closed-form gradient through {el.link_kind}[]")
+                fam = self.spec.submodels[el.target_index].family
+                t_eta, t_grad = self.eta_gradient(params, el.target_index, at, draws)
+                ev = el.link_kind == "EV"
+                calls[(id(el), "value")] = families.mean_value(fam, t_eta) if ev else t_eta
+                targets[id(el)] = t_grad, families.mean_d1(fam, t_eta) if ev else None
         acc = np.zeros((len(at.rows), nq))
         out: dict[int, np.ndarray] = {}
-        for col, v in self._column_values(params, sub_idx, at, draws, nq, "value"):
+
+        def add(k, v):
+            out[k] = out[k] + v if k in out else v
+        for col, base, v in self._column_values(params, sub_idx, at, draws, nq, "value", calls):
             coef = 1.0 if col.param is None else params[col.param]
             acc = acc + coef * v
             if col.param is not None:
                 out[col.param] = v
             for name in col.re_names:
-                k = self.layout.log_sd_of[name]
-                out[k] = out[k] + coef * v if k in out else coef * v
+                add(self.layout.log_sd_of[name], coef * v)
+            for j, (el, _) in enumerate(col.time_factors):
+                if el.kind != "link":
+                    continue
+                # d/d theta of factor j: coef x the other factors x its own
+                # derivative
+                other = coef * base
+                for m, (fel, fbi) in enumerate(col.time_factors):
+                    if m != j:
+                        other = other * _column(
+                            self._factor(params, fel, at, draws, "value", calls), fbi)
+                t_grad, dmu = targets[id(el)]
+                if dmu is not None:
+                    other = other * dmu
+                for k, g in t_grad.items():
+                    add(k, other * g)
         return acc, out
 
-    def _column_values(self, params, sub_idx, at: Frame, draws, nq, order):
-        """Each column of the predictor with its value on the frame without
-        the coefficient, or its time derivative/integral; a derivative of a
-        time-constant column (0) is skipped.  Each time-varying element is
-        evaluated once, for every column that uses it."""
+    def _column_values(self, params, sub_idx, at: Frame, draws, nq, order, calls):
+        """Each column of the predictor with its base (static x draws) and
+        its value on the frame without the coefficient, or its time
+        derivative/integral; a derivative of a time-constant column (0) is
+        skipped.  Each time-varying element is evaluated once, for every
+        column that uses it; calls is the table of this call's link and
+        transient values, which the caller may have filled."""
         info = self.subs[sub_idx]
         rows, t = at.rows, at.t
-        calls: dict[tuple[int, str], np.ndarray] = {}
 
         def factor(el, bi, forder):
             return _column(self._factor(params, el, at, draws, forder, calls), bi)
@@ -404,7 +442,7 @@ class Evaluator:
                             out = fv if out is None else out * fv
                         return out
                     v = base * integrate_to(prod_val, at, TIME_GL_POINTS)
-            yield col, v
+            yield col, base, v
 
     def expval(self, params, sub_idx, at: Frame, draws, order="value"):
         """Expected response of a submodel and its time derivatives/integral."""
@@ -443,6 +481,14 @@ class Evaluator:
         off = families.log_hazard_offset(sub.family, at.t[:, None], ap)
         return np.exp(ev + off)
 
+    def closed_form_cumhazard(self, sub_idx) -> bool:
+        """Whether H = exp(eta) Lambda0(t): the family has a closed-form
+        Lambda0 and the predictor no time-varying column (a link column
+        counts as one).  Else cumhazard integrates the hazard over
+        TIME_GL_POINTS nodes (rp's eta is log H itself)."""
+        fam = families.FAMILIES[self.spec.submodels[sub_idx].family]
+        return fam.cumhazard is not None and not self.subs[sub_idx].has_time
+
     def cumhazard(self, params, sub_idx, at: Frame, draws):
         sub = self.spec.submodels[sub_idx]
         if not sub.is_survival:
@@ -452,7 +498,7 @@ class Evaluator:
         if fam.log_hazard is None:  # rp: eta is log H
             ev = self.eta(params, sub_idx, at, draws, "value")
             return np.exp(ev)
-        if fam.cumhazard is not None and not self.subs[sub_idx].has_time:
+        if self.closed_form_cumhazard(sub_idx):
             ev = self.eta(params, sub_idx, at, draws, "value")
             lam0 = families.baseline_cumhazard_factor(sub.family, at.t[:, None], ap)
             return np.exp(ev) * lam0

@@ -7,9 +7,11 @@ the table; the survival calculus lives in the evaluator.
 
 The derivative kernels give the likelihood engine's score closed-form row
 derivatives: dl/deta and dl/dap of the scalar kernel (gaussian, bernoulli,
-poisson), and dLambda0/dap and d(log h - eta)/dap of the closed-form
-survival families, whose dl/deta is d - H.  A family without them (None)
-has its rows differenced centrally.
+poisson), d(log h - eta)/dap of the survival families with a log-hazard
+offset (exponential, weibull, gompertz, loghazard), and dLambda0/dap of
+those with a closed-form Lambda0, whose dl/deta is then d - H.  A family
+without them (None: rp, beta, negbinomial, user) has its rows
+differenced centrally.
 
 Every kernel is elementwise.  An ancillary ap[k] is a scalar for one
 parameter point or a row of one value per node column for a batch of
@@ -177,7 +179,8 @@ FAMILIES = {
                        cumhazard_d=_gompertz_lambda0_d, log_hazard_d=lambda t, ap: (t,)),
     "rp": Family(survival=True, baseline_in_eta=True, start=_rate_start),
     "loghazard": Family(survival=True, log_hazard=lambda t, ap: np.zeros_like(t),
-                        baseline_in_eta=True, start=_rate_start),
+                        baseline_in_eta=True, start=_rate_start,
+                        log_hazard_d=lambda t, ap: ()),
     "user": Family(start=_user_start, user=True),
     "null": Family((), IDENTITY,
                    lambda y, eta, ap: np.zeros(np.broadcast_shapes(y.shape, eta.shape))),

@@ -103,18 +103,20 @@ class Frame:
                                             block=block))
 
 
-def integrate_to(fn, at: Frame, n: int) -> np.ndarray:
+def integrate_to(fn, at: Frame, n: int, width=None) -> np.ndarray:
     """n-point Gauss-Legendre integral of fn over (0, at.t], per row.
 
     fn(block) maps a frame of row indices and equally many times to a
     (len(block.rows), k) array.  It is called once per block of nodes: the
     block's times are stacked node-major and the rows tiled to match.  The
     first block is one node, which gives the width k; later blocks hold as
-    many nodes as fit in TIME_BLOCK_DOUBLES output values.  Nodes are
-    clamped to at least 1e-300, so fn may take logs of time, and the node
-    terms are summed in node order, so the result does not depend on the
-    blocking.  A kept frame that is not itself a node block keeps each
-    block's frame, keyed by (n, first node, end node).
+    many nodes as fit in TIME_BLOCK_DOUBLES output values, or values of
+    the given width, so that an integrand of another width can take the
+    blocks (and kept frames) of one of that width.  Nodes are clamped to
+    at least 1e-300, so fn may take logs of time, and the node terms are
+    summed in node order, so the result does not depend on the blocking.
+    A kept frame that is not itself a node block keeps each block's frame,
+    keyed by (n, first node, end node).
     """
     x, w = _legendre(n)
     half = 0.5 * at.t
@@ -131,7 +133,7 @@ def integrate_to(fn, at: Frame, n: int) -> np.ndarray:
         for j in range(k, end):
             val = vals[j - k] * (w[j] * half)[:, None]
             acc = val if acc is None else acc + val
-        size = max(1, TIME_BLOCK_DOUBLES // max(1, vals[0].size))
+        size = max(1, TIME_BLOCK_DOUBLES // max(1, m * (width or vals.shape[-1])))
         k = end
     return acc
 

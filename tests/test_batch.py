@@ -270,7 +270,7 @@ def test_iteration_records(caplog):
     assert len(records) == fit.iterations > 0
     assert hessian.getMessage().startswith("Hessian: ")
     pattern = (r"iteration (\d+): logL (\S+), max\|g\| (\S+), alpha (\S+), (\d+) halvings, "
-               r"(\d+) points in (\d+) engine calls, (\d+) scores")
+               r"(\d+) points in (\d+) engine calls, (\d+) scores, (\d+) fallbacks")
     points = calls = 1  # the start point
     for k, rec in enumerate(records, start=1):
         m = re.fullmatch(pattern, rec.getMessage())
@@ -282,6 +282,7 @@ def test_iteration_records(caplog):
         # iteration, so points rise by the line search's trials alone
         assert int(m[6]) == points + halvings + 1 and int(m[7]) == calls + halvings + 1
         assert int(m[8]) == k + 1
+        assert int(m[9]) == 0  # every gradient was a finite score
         points, calls = int(m[6]), int(m[7])
     # the last iteration's point is the fit's
     assert float(m[2]) == pytest.approx(fit.loglik, rel=1e-9)

@@ -340,8 +340,13 @@ class TestDerivativeKernels:
 
     def test_kernels_only_where_scores_are_analytic(self):
         with_d = {f for f, rec in families.FAMILIES.items()
-                  if rec.loglik_d is not None or rec.cumhazard_d is not None}
+                  if rec.loglik_d is not None or rec.log_hazard_d is not None}
         assert with_d == {"gaussian", "bernoulli", "poisson",
-                          "exponential", "weibull", "gompertz"}
-        for f in ("exponential", "weibull", "gompertz"):
-            assert families.FAMILIES[f].log_hazard_d is not None
+                          "exponential", "weibull", "gompertz", "loghazard"}
+        # Lambda0's derivative wherever Lambda0 is closed form
+        with_lambda0 = {f for f, rec in families.FAMILIES.items() if rec.cumhazard is not None}
+        assert with_lambda0 == {"exponential", "weibull", "gompertz"}
+        for f in with_lambda0:
+            assert families.FAMILIES[f].cumhazard_d is not None
+        # loghazard's offset is 0 and has no ancillary
+        assert families.FAMILIES["loghazard"].log_hazard_d(np.ones((2, 1)), np.zeros(0)) == ()

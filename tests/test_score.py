@@ -18,7 +18,7 @@ import pytest
 from jointfit import estimation
 from jointfit.estimation import (_BIG, GRAD_STEP, _bfgs_gradient, _neg_loglik, central_gradient,
                                  start_values)
-from jointfit.evaluator import Evaluator
+from jointfit.evaluator import EvalError, Evaluator
 
 from conftest import make_dataset, sim_lmm
 from test_batch import MODELS, TestPenalty, _engine, _glmm_data, _model, _points
@@ -50,11 +50,13 @@ def test_score_is_bitwise_invariant_to_the_chunk_partition(monkeypatch):
     # cold, and warm from a one-point evaluation at the same point
     shared_text, shared_data, _, _ = MODELS["shared_re"]
     # (PASS_DOUBLES, chunks): 4-row clusters on 7 nodes; 2- to 5-row
-    # clusters on 35 nodes; rows
+    # clusters on 35 nodes; the EV[y] joint model's 4-row clusters on 7
+    # nodes; rows
     cases = [("levels = id\ngaussian : y ~ x + M1[id]*1",
               sim_lmm(150, 4, 1.0, 0.5, sd_b=0.4, sd_e=0.4, seed=4),
               ((1, 150), (7 * 4 * 7, 22), (64 * 4 * 7, 3), (2**30, 1))),
              (shared_text, shared_data(), ((1, 90), (50 * 35, 9), (2**30, 1))),
+             (JOINT_SPEC, MODELS["ev_rcs"][1](), ((1, 70), (10 * 4 * 7, 7), (2**30, 1))),
              ("gaussian : y ~ x", no_level_data(), ((1, 5000), (999, 6), (4096, 2), (5000, 1)))]
     for text, data, partitions in cases:
         results = []
@@ -120,12 +122,16 @@ def _data(levels=()):
 class TestFallback:
     def test_minus_infinity_takes_central_differences(self):
         eng, ref = TestPenalty().gaussian_engine(), TestPenalty().gaussian_engine()
+        assert eng.fallbacks == 0
+        _bfgs_gradient(eng, np.asarray([0.1, 0.2, 0.0]))  # a finite score
+        assert eng.fallbacks == 0
         x = np.asarray([0.1, 0.2, -800.0])  # every residual infinitely unlikely
         assert _neg_loglik(eng, x) == _BIG
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             assert not np.all(np.isfinite(eng.score(x)))
         want = central_gradient(partial(_neg_loglik, ref), x, GRAD_STEP)
         assert np.array_equal(_bfgs_gradient(eng, x), want)
+        assert eng.fallbacks == 1
 
     def test_value_error_takes_central_differences(self):
         eng, ref = TestPenalty().raising_engine(), TestPenalty().raising_engine()
@@ -134,9 +140,10 @@ class TestFallback:
             eng.score(x)
         want = central_gradient(partial(_neg_loglik, ref), x, GRAD_STEP)
         assert np.array_equal(_bfgs_gradient(eng, x), want)
+        assert (eng.fallbacks, ref.fallbacks) == (1, 0)
 
 
-@pytest.mark.parametrize("name", ["shared_re", "ev_rcs", "no_levels_2_chunks", "user"])
+@pytest.mark.parametrize("name", ["shared_re", "ev_rcs", "iev", "no_levels_2_chunks", "user"])
 def test_score_reuses_the_one_point_evaluation(monkeypatch, name):
     # only a submodel whose rows are differenced centrally calls
     # loglik_matrix in score; a closed-form one evaluates eta at x
@@ -155,7 +162,7 @@ def test_score_reuses_the_one_point_evaluation(monkeypatch, name):
 
     monkeypatch.setattr(Evaluator, "loglik_matrix", recorded)
     got = warm.score(x)
-    assert bool(seen) == (name in ("ev_rcs", "user"))
+    assert bool(seen) == (name in ("iev", "user"))
     assert not any(np.array_equal(point, x) for point in seen)
     assert np.array_equal(got, want)
     assert (warm.scores, warm.calls, warm.points) == (1, 1, 1)
@@ -163,45 +170,155 @@ def test_score_reuses_the_one_point_evaluation(monkeypatch, name):
 
 @pytest.mark.parametrize("name, analytic", [
     ("shared_re", [True, True]),
-    ("ev_rcs", [True, False]),         # the hazard reaches y through EV[y]
+    ("ev_rcs", [True, True]),          # the hazard reaches y through EV[y]
     ("gompertz_loading", [True, True]),
     ("two_level_poisson", [True]),
     ("rp", [False]),
     ("user", [False]),
     ("bhazard", [False]),
     ("unstructured_projected", [False]),  # atanh_corr reaches the rows
+    ("iev", [True, False]),            # an iEV[y] hazard stays differenced
 ])
 def test_closed_form_row_scores(monkeypatch, name, analytic):
     assert _engine(*_model(monkeypatch, name)).analytic == analytic
 
 
-def test_time_varying_survival_predictor_is_differenced():
+def test_time_varying_survival_predictor_is_analytic():
     eng = _engine("weibull : Surv(t, d) ~ x + x:fp(t, powers = c(0)) | timevar=t\n"
                   "gaussian : y ~ x + XB[1] | timevar=t\n", _data())
-    assert eng.analytic == [False, False]
+    assert eng.analytic == [True, True]
+    x = start_values(eng) + 0.1
+    want = central_gradient(eng.total_loglik, x, GRAD_STEP)
+    assert np.max(np.abs(eng.score(x) - want)) <= 1e-6 * max(1.0, np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("name", ["shared_re", "gaussian_rcs", "bernoulli_slope",
-                                  "two_level_poisson"])
+                                  "two_level_poisson", "ev_rcs"])
 def test_eta_gradient(monkeypatch, name):
     # eta with the bits of Evaluator.eta, and each derivative against
     # central differences of eta at fixed standard-normal nodes
     eng = _engine(*_model(monkeypatch, name))
-    x = _points(name, eng)[1]
-    for i, analytic in enumerate(eng.analytic):
-        assert analytic
-        at = eng.chunks[0]["subs"][i][1]
-        eta, grad = eng.ev.eta_gradient(x, i, at, eng.draws(x))
-        assert np.array_equal(eta, eng.ev.eta(x, i, at, eng.draws(x)))
-        assert sorted(grad) == sorted(set(eng.deps[i]) - set(eng.ev.subs[i].ap_idx))
-        for k, got in grad.items():
-            h = GRAD_STEP * max(1.0, abs(x[k]))
-            up, down = x.copy(), x.copy()
-            up[k] += h
-            down[k] -= h
-            want = (eng.ev.eta(up, i, at, eng.draws(up))
-                    - eng.ev.eta(down, i, at, eng.draws(down))) / (2.0 * h)
-            assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, np.max(np.abs(want)))
+    points = [_points(name, eng)[1]]
+    if name == "ev_rcs":
+        # y's coefficients 0: E[y] is the draw, exactly 0 at the middle
+        # node, where the hazard's EV[] column is 0 on every row
+        zero = points[0].copy()
+        zero[:4] = 0.0
+        at = eng.chunks[0]["subs"][1][1]
+        assert np.all(eng.ev.expval(zero, 0, at, eng.draws(zero))[:, 3] == 0.0)
+        points.append(zero)
+    for x in points:
+        for i, analytic in enumerate(eng.analytic):
+            assert analytic
+            at = eng.chunks[0]["subs"][i][1]
+            eta, grad = eng.ev.eta_gradient(x, i, at, eng.draws(x))
+            assert np.array_equal(eta, eng.ev.eta(x, i, at, eng.draws(x)))
+            assert sorted(grad) == sorted(set(eng.deps[i]) - set(eng.ev.subs[i].ap_idx))
+            for k, got in grad.items():
+                h = GRAD_STEP * max(1.0, abs(x[k]))
+                up, down = x.copy(), x.copy()
+                up[k] += h
+                down[k] -= h
+                want = (eng.ev.eta(up, i, at, eng.draws(up))
+                        - eng.ev.eta(down, i, at, eng.draws(down))) / (2.0 * h)
+                assert np.all(np.isfinite(got))
+                assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, np.max(np.abs(want)))
+
+
+def test_eta_gradient_refuses_other_links(monkeypatch):
+    # an iEV[] column's derivative is not formed; its submodel's rows are
+    # differenced instead
+    eng = _engine(*_model(monkeypatch, "iev"))
+    x = _points("iev", eng)[1]
+    with pytest.raises(EvalError, match=r"iEV\[\]"):
+        eng.ev.eta_gradient(x, 1, eng.chunks[0]["subs"][1][1], eng.draws(x))
+
+
+def test_score_integrates_on_the_node_blocks_of_one_cumulative_hazard(monkeypatch):
+    # the hazard's node terms for all its parameters are taken on the node
+    # blocks of the one-point H: as many integrand calls, and no node-block
+    # frame that the one-point evaluation did not keep
+    spec_text, data = _model(monkeypatch, "ev_rcs")
+    eng = _engine(spec_text, data)
+    x = _points("ev_rcs", eng)[1]
+    blocks = []
+    hazard, eta_gradient = Evaluator.hazard, Evaluator.eta_gradient
+
+    def recorded_hazard(self, params, i, at, draws):
+        blocks.append(len(at.rows))
+        return hazard(self, params, i, at, draws)
+
+    def recorded_gradient(self, params, i, at, draws):
+        if i == 1 and at.block:
+            blocks.append(len(at.rows))
+        return eta_gradient(self, params, i, at, draws)
+
+    monkeypatch.setattr(Evaluator, "hazard", recorded_hazard)
+    monkeypatch.setattr(Evaluator, "eta_gradient", recorded_gradient)
+    eng.total_loglik(x)
+    one_h, blocks[:] = list(blocks), []
+
+    def node_blocks():
+        return [[k for k in at.kept if k[0] == "nodes"] for c in eng.chunks for _, at in c["subs"]]
+    kept = node_blocks()
+    eng.score(x)
+    assert blocks == one_h and len(one_h) > 2
+    assert node_blocks() == kept
+
+
+class TestIntegratedHazardScores:
+    """Closed-form scores of survival rows whose cumulative hazard is
+    integrated over time nodes, and of value links: every family with a
+    log-hazard offset, time-varying term, link and random-effect choice,
+    each at a random point around its start values."""
+
+    FAMILIES = ("exponential", "weibull", "gompertz", "loghazard")
+    TERMS = ("x:t", "x:fp(t, powers = c(0.5))", "rcs(t, df = 2)", "rcs(t, df = 2, log = TRUE)")
+    # EV[b] has a logit target; EV[w] nests w ~ EV[y]; XB[1] links a
+    # gaussian submodel to the hazard's predictor
+    LINKS = ("none", "EV[y]", "EV[b]", "XB[y]", "EV[w]", "XB[1]")
+
+    @staticmethod
+    def data():
+        """60 rows of 20 clusters id: a survival response (t, d), a binary
+        b, a measurement time and normal x, z, y and w."""
+        rng = np.random.default_rng(8)
+        n = 60
+        return make_dataset({"id": np.repeat(np.arange(20.0), 3), "t": rng.uniform(0.3, 3.0, n),
+                             "d": (rng.random(n) < 0.7) * 1.0, "time": rng.uniform(0.2, 3.0, n),
+                             "b": (rng.random(n) < 0.5) * 1.0,
+                             **{v: rng.normal(size=n) for v in "xzyw"}}, levels=("id",))
+
+    @staticmethod
+    def spec(family, term, link, re):
+        m, m1 = (" + M1[id]", " + M1[id]*1") if re else ("", "")
+        lines = ["levels = id\nip = 3"] if re else []
+        linked = "" if link in ("none", "XB[1]") else " + " + link
+        lines.append(f"{family} : Surv(t, d) ~ x + {term}{linked}{m} | timevar=t")
+        if link in ("EV[y]", "XB[y]", "EV[w]"):
+            lines.append(f"gaussian : y ~ z + time{m1} | timevar=time")
+        if link == "EV[w]":
+            lines.append("gaussian : w ~ EV[y] | timevar=time")
+        if link == "EV[b]":
+            lines.append(f"bernoulli : b ~ z + time{m1} | timevar=time")
+        if link == "XB[1]":
+            lines.append(f"gaussian : y ~ z + XB[1]{m1} | timevar=time")
+        return "\n".join(lines) + "\n"
+
+    def test_every_configuration_matches_central_differences(self):
+        data, rng, checked = self.data(), np.random.default_rng(51), 0
+        for family in self.FAMILIES:
+            for term in self.TERMS:
+                for link in self.LINKS:
+                    for re in (False, True):
+                        eng = _engine(self.spec(family, term, link, re), data)
+                        assert all(eng.analytic)
+                        x = start_values(eng) + rng.normal(0.0, 0.1, eng.ev.n_params())
+                        want = central_gradient(eng.total_loglik, x, GRAD_STEP)
+                        got = eng.score(x)
+                        assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, np.max(np.abs(want)))
+                        checked += 1
+        assert checked == 192
 
 
 def test_zero_weight_nodes_contribute_zero():
