@@ -42,11 +42,12 @@ def rcs_knots(
     if df < 1:
         raise ValueError("rcs requires df >= 1")
     v = np.asarray(values, dtype=float)
-    v = v[~np.isnan(v)]
+    keep = ~np.isnan(v)
     if event_only:
         if event_mask is None:
             raise ValueError("event_only knots need an event mask")
-        v = v[event_mask[: len(event_mask)] > 0]
+        keep &= np.asarray(event_mask) > 0
+    v = v[keep]
     if log_time:
         if np.any(v <= 0):
             raise ValueError("log-time rcs needs strictly positive values")

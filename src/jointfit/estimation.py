@@ -64,7 +64,7 @@ import numpy as np
 from scipy.stats import norm
 
 from . import families
-from .data import Dataset
+from .data import DataError, Dataset, response_view
 from .evaluator import TIME_GL_POINTS, Evaluator
 from .formula import ModelSpec, format_spec
 from .quadrature import CovarianceParam, NodeSet, integrate_to, level_nodes, transform_nodes
@@ -721,6 +721,7 @@ def _bfgs(engine, x0, f0, max_iter: int):
 def maximize(spec: ModelSpec, data: Dataset, controls: FitControls | None = None,
              evaluator: Evaluator | None = None) -> FitResult:
     """Fit a validated spec by maximum likelihood."""
+    _check_observed_covariates(spec, data)
     controls = controls or FitControls()
     ev = evaluator or Evaluator(spec, data)
     engine = LikelihoodEngine(ev, seed=controls.seed)
@@ -752,6 +753,27 @@ def maximize(spec: ModelSpec, data: Dataset, controls: FitControls | None = None
         raise ConvergenceError(
             f"no convergence in {it} iterations (best logL {-fhat:.6f})", fit=fit)
     return fit
+
+
+def _check_observed_covariates(spec: ModelSpec, data: Dataset) -> None:
+    """Raise DataError, naming the submodel, the column and the row count,
+    when a column that a submodel's predictor reads is missing on some of
+    its observed rows: a covariate, an rcs/fp/exposure variable, or the
+    timevar, which gives a non-survival submodel's times (a survival
+    submodel's are its response times)."""
+    for i, sub in enumerate(spec.submodels):
+        timevar = sub.timevar or ""
+        names = [timevar] if timevar and not sub.is_survival else []
+        names += [el.var for comp in sub.components for el in comp.elements
+                  if el.kind in ("variable", "exposure_log", "rcs", "fp")
+                  and not el.is_time_function(timevar)]
+        rows = response_view(data, sub.response).observed_rows
+        for name in dict.fromkeys(names):
+            missing = int(np.count_nonzero(np.isnan(data.column(name)[rows])))
+            if missing:
+                raise DataError(
+                    f"submodel {i + 1} ({sub.family} : {sub.formula()}): {name!r} is "
+                    f"missing on {missing} of its {len(rows)} observed rows")
 
 
 def _vcov(engine, xhat):

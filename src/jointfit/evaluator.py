@@ -489,21 +489,23 @@ class Evaluator:
         fam = families.FAMILIES[self.spec.submodels[sub_idx].family]
         return fam.cumhazard is not None and not self.subs[sub_idx].has_time
 
-    def cumhazard(self, params, sub_idx, at: Frame, draws):
+    def cumhazard(self, params, sub_idx, at: Frame, draws, ev=None):
+        """H(t) on a frame; ev, eta on the frame if the caller has it, is
+        reused where H is a function of it (rp and closed form)."""
         sub = self.spec.submodels[sub_idx]
         if not sub.is_survival:
             raise EvalError(f"cumulative hazard undefined for family {sub.family!r}")
-        ap = self._ap(params, sub_idx)
-        fam = families.FAMILIES[sub.family]
-        if fam.log_hazard is None:  # rp: eta is log H
+        rp = families.FAMILIES[sub.family].log_hazard is None
+        if not (rp or self.closed_form_cumhazard(sub_idx)):
+            return integrate_to(lambda fr: self.hazard(params, sub_idx, fr, draws),
+                                at, TIME_GL_POINTS)
+        if ev is None:
             ev = self.eta(params, sub_idx, at, draws, "value")
+        if rp:
             return np.exp(ev)
-        if self.closed_form_cumhazard(sub_idx):
-            ev = self.eta(params, sub_idx, at, draws, "value")
-            lam0 = families.baseline_cumhazard_factor(sub.family, at.t[:, None], ap)
-            return np.exp(ev) * lam0
-        return integrate_to(lambda fr: self.hazard(params, sub_idx, fr, draws),
-                            at, TIME_GL_POINTS)
+        lam0 = families.baseline_cumhazard_factor(sub.family, at.t[:, None],
+                                                  self._ap(params, sub_idx))
+        return np.exp(ev) * lam0
 
     def survival(self, params, sub_idx, at: Frame, draws):
         return np.exp(-self.cumhazard(params, sub_idx, at, draws))
@@ -541,28 +543,21 @@ class Evaluator:
             ev = self.eta(params, sub_idx, at, draws, "value")
             out = families.scalar_loglik(sub.family, y, ev, self._ap(params, sub_idx))
             return np.where(np.isnan(out), -np.inf, out)
-        # survival contribution: d * log h(t) - H(t)
-        d = y[:, 1]
-        ap = self._ap(params, sub_idx)
-        H = self.cumhazard(params, sub_idx, at, draws)
-        ll = -H
-        ev_idx = d > 0
-        if ev_idx.any():
-            events = at.child(("events",), lambda: (rows[ev_idx], at.t[ev_idx]))
-            erows, et = events.rows, events.t
-            if fam.log_hazard is None:  # rp
-                ev = self.eta(params, sub_idx, events, draws, "value")
-                d1 = self.eta(params, sub_idx, events, draws, "d1")
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    logh = np.where(d1 > 0, np.log(np.maximum(d1, 1e-300)) + ev, -np.inf)
-            else:
-                evv = self.eta(params, sub_idx, events, draws, "value")
-                off = families.log_hazard_offset(sub.family, et[:, None], ap)
-                logh = evv + off
-            if sub.bhazard_var is not None:
-                b = self.data.column(sub.bhazard_var)[erows]
-                logh = np.log(b[:, None] + np.exp(logh))
-            ll[ev_idx] = ll[ev_idx] + logh
+        # survival contribution d log h(t) - H(t), log h (and H, unless it
+        # is integrated) from one eta on every row; a censored row's log h
+        # is dropped
+        ev = self.eta(params, sub_idx, at, draws, "value")
+        if fam.log_hazard is None:  # rp
+            d1 = self.eta(params, sub_idx, at, draws, "d1")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logh = np.where(d1 > 0, np.log(np.maximum(d1, 1e-300)) + ev, -np.inf)
+        else:
+            logh = ev + families.log_hazard_offset(sub.family, at.t[:, None],
+                                                   self._ap(params, sub_idx))
+        if sub.bhazard_var is not None:
+            b = self.data.column(sub.bhazard_var)[rows]
+            logh = np.log(b[:, None] + np.exp(logh))
+        ll = np.where(y[:, 1:2] > 0, logh, 0.0) - self.cumhazard(params, sub_idx, at, draws, ev)
         # an overflowed hazard can leave inf - inf = nan; such a point is
         # invalid, not favourable
         return np.where(np.isnan(ll), -np.inf, ll)

@@ -73,10 +73,10 @@ class Frame:
 
     A kept frame (keep=True), one per chunk and submodel of the likelihood
     engine, keeps, filled on first use, the values there that do not depend
-    on the parameters, its node-block children and its event-row subset.  A
-    node block (block=True) derives only transient frames, so a nested time
-    integral keeps rows x n points, not rows x n^2.  A transient frame,
-    built for a prediction or an explicit-time call, keeps nothing.
+    on the parameters and its node-block children.  A node block
+    (block=True) derives only transient frames, so a nested time integral
+    keeps rows x n points, not rows x n^2.  A transient frame, built for a
+    prediction or an explicit-time call, keeps nothing.
     """
 
     def __init__(self, rows, t, y=None, keep=False, block=False):
@@ -94,13 +94,13 @@ class Frame:
             self.kept[key] = make()
         return self.kept[key]
 
-    def child(self, key, make, block=False):
-        """The frame of the (rows, t) pair make() returns, kept under key
-        and itself kept when this frame is kept and not a node block."""
+    def child(self, key, make):
+        """The node block of the (rows, t) pair make() returns, kept under
+        key and itself kept when this frame is kept and not a node block."""
         if self.block:
             return Frame(*make())
         return self.keep(key, lambda: Frame(*make(), keep=self.kept is not None,
-                                            block=block))
+                                            block=True))
 
 
 def integrate_to(fn, at: Frame, n: int, width=None) -> np.ndarray:
@@ -127,7 +127,7 @@ def integrate_to(fn, at: Frame, n: int, width=None) -> np.ndarray:
         end = min(n, k + size)
         block = at.child(("nodes", n, k, end), lambda: (
             np.tile(at.rows, end - k),
-            np.maximum(half * (x[k:end, None] + 1.0), 1e-300).ravel()), block=True)
+            np.maximum(half * (x[k:end, None] + 1.0), 1e-300).ravel()))
         vals = fn(block)
         vals = vals.reshape(end - k, m, vals.shape[-1])
         for j in range(k, end):

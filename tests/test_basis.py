@@ -31,6 +31,12 @@ class TestKnots:
         knots = rcs_knots(t, 1, event_only=True, event_mask=d)
         assert np.array_equal(knots, [10.0, 30.0])
 
+    def test_event_only_drops_missing_values_with_their_events(self):
+        t = np.asarray([1.0, np.nan, 2.0, 3.0, 10.0, np.nan, 20.0, 30.0])
+        d = np.asarray([0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        knots = rcs_knots(t, 2, event_only=True, event_mask=d)
+        assert np.array_equal(knots, [10.0, 20.0, 30.0])
+
     def test_log_time_knots(self):
         v = np.asarray([1.0, np.e, np.e**2])
         knots = rcs_knots(v, 1, log_time=True)

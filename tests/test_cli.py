@@ -92,6 +92,17 @@ class TestFit:
         assert code == 2
         assert "submodel has no timevar" in capsys.readouterr().err
 
+    def test_missing_covariate_exits_2(self, tmp_path, capsys):
+        d = sim_weibull(50, lam=0.1, gamma=1.4, beta=0.5, seed=32, cens_rate=0.12)
+        d.columns["age"] = np.linspace(40.0, 60.0, d.n_rows)
+        d.columns["age"][5] = np.nan
+        data = tmp_path / "d.csv"
+        jf.save_table(d, str(data))
+        code = run(["fit", "--inline", "weibull : Surv(t, d) ~ x + age",
+                    "--data", str(data), "--out", str(tmp_path / "f.json")])
+        assert code == 2
+        assert "'age' is missing on 1 of its 50 observed rows" in capsys.readouterr().err
+
     def test_empty_dataset_exits_2(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("t,d,x\n")

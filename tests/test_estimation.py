@@ -218,7 +218,9 @@ class TestMaximize:
         rng = np.random.default_rng(11)
         t = rng.exponential(2.0, 400)
         d = make_dataset({"t": t, "d": np.ones(400), "z": np.zeros(400)})
-        fit = fit_spec("exponential : Surv(t, d) ~ z", d)
+        # z is all zeros, so its coefficient has no curvature
+        with pytest.warns(RuntimeWarning, match="the Hessian is singular"):
+            fit = fit_spec("exponential : Surv(t, d) ~ z", d)
         lam_mle = 400 / t.sum()
         est = dict(zip(fit.labels, fit.estimates))
         assert abs(est["_cons"] - np.log(lam_mle)) < 1e-6
@@ -260,7 +262,8 @@ class TestMaximize:
         assert np.all(np.linalg.eigvalsh(fit.vcov) > 0)
 
     def test_nonconvergence_carries_best_point(self, lmm_data):
-        with pytest.raises(jf.ConvergenceError) as err:
+        with pytest.raises(jf.ConvergenceError) as err, \
+                pytest.warns(RuntimeWarning, match="non-positive variance"):
             fit_spec("levels = id\ngaussian : y ~ x + M1[id]*1",
                      lmm_data, max_iter=2)
         assert err.value.fit is not None
@@ -312,6 +315,39 @@ def _hessian_points(monkeypatch):
     monkeypatch.setattr(LikelihoodEngine, "__init__", recorded_init)
     monkeypatch.setattr(estimation, "central_hessian", counted)
     return counts
+
+
+class TestMissingCovariates:
+    """A fit names a column that its submodel reads and that is missing on
+    some of the submodel's observed rows, before any basis is built; a
+    value missing on a row the submodel does not observe is no error."""
+
+    @staticmethod
+    def data(age_missing=True):
+        rng = np.random.default_rng(16)
+        n = 60
+        cols = {"t": rng.exponential(2.0, n) + 0.05, "d": (rng.random(n) < 0.7) * 1.0,
+                "x": rng.normal(size=n), "age": rng.normal(50.0, 10.0, n),
+                "time": rng.uniform(0.0, 5.0, n), "y": rng.normal(size=n)}
+        cols["t"][7] = cols["age"][7] = np.nan  # not an observed survival row
+        if age_missing:
+            cols["age"][3] = np.nan
+        cols["time"][4] = np.nan
+        return make_dataset(cols)
+
+    @pytest.mark.parametrize("spec, column, rows", [
+        ("weibull : Surv(t, d) ~ x + age", "age", 59),
+        ("weibull : Surv(t, d) ~ x + rcs(age, df = 2, event = TRUE)", "age", 59),
+        ("gaussian : y ~ x + rcs(time, df = 2) | timevar=time", "time", 60),
+    ])
+    def test_fit_raises_data_error(self, spec, column, rows):
+        with pytest.raises(jf.DataError,
+                           match=rf"submodel 1 \(.*\): '{column}' is missing on 1 of "
+                                 rf"its {rows} observed rows"):
+            fit_spec(spec, self.data())
+
+    def test_missing_on_unobserved_rows_fits(self):
+        assert fit_spec("weibull : Surv(t, d) ~ x + age", self.data(age_missing=False)).converged
 
 
 class TestHessian:
