@@ -160,7 +160,7 @@ class RcsBasis:
             length = np.clip(t, a, c) - a
             out[:, 1:] += integrate_to(
                 lambda block: self._raw_x(np.log(a + block.t), "value")[:, 1:],
-                Frame(rows, length), _INTEG_GL_POINTS)
+                Frame(rows, length), _INTEG_GL_POINTS, self.df - 1)
         return out
 
     def eval(self, t: np.ndarray, order: str = "value") -> np.ndarray:

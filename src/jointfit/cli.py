@@ -17,7 +17,7 @@ from .estimation import (ConvergenceError, FitControls, fit_from_json,
                          fit_to_json, maximize, summary_table)
 from .evaluator import EvalError, Evaluator
 from .formula import (ModelSpec, ParseError, SpecError, parse_component,
-                      parse_model, parse_spec_text, validate_spec)
+                      parse_model, parse_number, parse_spec_text, validate_spec)
 from .prediction import FittedModel, PredictRequest, predict_stat
 from .userfam import UserFamilyError
 
@@ -33,12 +33,7 @@ def _add_common(p):
 def _numbers(flag, text, kind=float, count=None):
     """The comma-separated numbers of a flag's value, as kind; a
     ParseError names the flag and the bad token."""
-    out = []
-    for tok in text.split(","):
-        try:
-            out.append(kind(tok))
-        except ValueError:
-            raise ParseError(f"{flag} expects {kind.__name__} values, got {tok!r}") from None
+    out = [parse_number(flag, tok, kind) for tok in text.split(",")]
     if count is not None and len(out) != count:
         raise ParseError(f"{flag} expects {count} values, got {text!r}")
     return out

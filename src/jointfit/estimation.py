@@ -500,7 +500,7 @@ class LikelihoodEngine:
                                 [*b_d_eta.items(), *zip(ap_idx, fam.log_hazard_d(u, ap))])
             events = contract(weighted(at.y[:, 1:2]),
                               [*d_eta.items(), *zip(ap_idx, fam.log_hazard_d(at.t[:, None], ap))])
-            return events - integrate_to(node_terms, at, TIME_GL_POINTS, width=Wl.shape[1])
+            return events - integrate_to(node_terms, at, TIME_GL_POINTS, Wl.shape[1])
         out = contract(weighted(dl), d_eta.items())
         for k, v in zip(ap_idx, dap):
             out[:, col[k]] = np.sum(weighted(v), axis=-1)

@@ -41,7 +41,7 @@ class EvalError(ValueError):
     pass
 
 
-def _width(params, draws):
+def node_width(params, draws):
     """Node columns of an evaluation: the width of a parameter row (1 for a
     vector) or of the draws (nq), whichever is wider."""
     width = params.shape[1] if params.ndim == 2 else 1
@@ -318,7 +318,7 @@ class Evaluator:
                 total = -1
             else:
                 return integrate_to(lambda fr: raw(_NUM_ORDER[base], fr),
-                                    at, TIME_GL_POINTS)
+                                    at, TIME_GL_POINTS, node_width(params, draws))
         return raw(_NUM_ORDER[total])
 
     def eta(self, params, sub_idx, at: Frame, draws, order="value"):
@@ -328,7 +328,7 @@ class Evaluator:
         Each time-varying element is evaluated once per call, for every
         column that uses it; a kept frame keeps the values that do not
         depend on the parameters for later calls."""
-        nq = _width(params, draws)
+        nq = node_width(params, draws)
         acc = np.zeros((len(at.rows), nq))
         for col, _, v in self._column_values(params, sub_idx, at, draws, nq, order, {}):
             coef = 1.0 if col.param is None else params[col.param]
@@ -349,7 +349,7 @@ class Evaluator:
         the other factors are multiplied out, never divided out of the
         column value, which can be 0.  The atanh_corr parameters and the
         other link kinds are not covered."""
-        nq = _width(params, draws)
+        nq = node_width(params, draws)
         calls: dict[tuple[int, str], np.ndarray] = {}
         targets = {}  # id(link element) -> (eta_target gradient, dmu/deta or None)
         for col in self.subs[sub_idx].columns:
@@ -441,7 +441,7 @@ class Evaluator:
                                                       block_calls), bi)
                             out = fv if out is None else out * fv
                         return out
-                    v = base * integrate_to(prod_val, at, TIME_GL_POINTS)
+                    v = base * integrate_to(prod_val, at, TIME_GL_POINTS, nq)
             yield col, base, v
 
     def expval(self, params, sub_idx, at: Frame, draws, order="value"):
@@ -452,7 +452,7 @@ class Evaluator:
         if order == "integral":
             return integrate_to(
                 lambda fr: self.expval(params, sub_idx, fr, draws, "value"),
-                at, TIME_GL_POINTS)
+                at, TIME_GL_POINTS, node_width(params, draws))
         ev = self.eta(params, sub_idx, at, draws, "value")
         if order == "value":
             return families.mean_value(fam, ev)
@@ -498,7 +498,7 @@ class Evaluator:
         rp = families.FAMILIES[sub.family].log_hazard is None
         if not (rp or self.closed_form_cumhazard(sub_idx)):
             return integrate_to(lambda fr: self.hazard(params, sub_idx, fr, draws),
-                                at, TIME_GL_POINTS)
+                                at, TIME_GL_POINTS, node_width(params, draws))
         if ev is None:
             ev = self.eta(params, sub_idx, at, draws, "value")
         if rp:
@@ -568,7 +568,7 @@ class Evaluator:
         (one point of a batch) gets a context of its parameter vector and
         its draws."""
         fn = get_user_family(self.spec.submodels[sub_idx].userf)
-        width = _width(params, draws)
+        width = node_width(params, draws)
         cols = np.asarray(params, dtype=float)
         cols = cols if cols.ndim == 2 else cols[:, None]
         cuts = [0, *(np.flatnonzero(np.any(cols[:, 1:] != cols[:, :-1], axis=0)) + 1), width]

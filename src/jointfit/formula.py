@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families
+from .quadrature import IP_RANGE
 
 
 class ParseError(ValueError):
@@ -159,7 +160,20 @@ def _split_top(text: str, sep: str) -> list[str]:
     return parts
 
 
-def _parse_value(text: str):
+def parse_number(key, token, kind=float):
+    """token, a number or its text, as kind (float, or int for a whole
+    number); a ParseError names the key or flag and the bad token."""
+    try:
+        value = None if isinstance(token, bool) else float(token)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or (kind is int and not value.is_integer()):
+        what = "an integer" if kind is int else "a number"
+        raise ParseError(f"{key} expects {what}, got {token!r}")
+    return kind(value)
+
+
+def _parse_value(key: str, text: str):
     text = text.strip()
     if text in ("TRUE", "T", "true"):
         return True
@@ -170,7 +184,7 @@ def _parse_value(text: str):
         inner = m.group(1).strip()
         if not inner:
             return ()
-        return tuple(float(v) for v in _split_top(inner, ","))
+        return tuple(parse_number(key, v.strip()) for v in _split_top(inner, ","))
     try:
         return float(text)
     except ValueError:
@@ -185,7 +199,7 @@ def _parse_call_args(inner: str) -> tuple[list, dict]:
             raise ParseError(f"empty argument in {inner!r}")
         eq = _split_top(part, "=")
         if len(eq) == 2:
-            kw[eq[0].strip()] = _parse_value(eq[1])
+            kw[eq[0].strip()] = _parse_value(eq[0].strip(), eq[1])
         else:
             pos.append(part)
     return pos, kw
@@ -215,10 +229,10 @@ def parse_element(text: str) -> Element:
                 raise ParseError(f"rcs needs a variable: {text!r}")
             el = Element("rcs", var=pos[0])
             if "df" in kw:
-                el.df = int(kw["df"])
+                el.df = parse_number("df", kw["df"], int)
             if "knots" in kw:
                 k = kw["knots"]
-                el.knots = k if isinstance(k, tuple) else (float(k),)
+                el.knots = k if isinstance(k, tuple) else (parse_number("knots", k),)
             if (el.df is None) == (el.knots is None):
                 raise ParseError("rcs needs exactly one of df/knots")
             el.orthog = bool(kw.get("orthog", False))
@@ -229,7 +243,7 @@ def parse_element(text: str) -> Element:
             if len(pos) != 1 or "powers" not in kw:
                 raise ParseError(f"fp needs a variable and powers: {text!r}")
             pw = kw["powers"]
-            pw = pw if isinstance(pw, tuple) else (float(pw),)
+            pw = pw if isinstance(pw, tuple) else (parse_number("powers", pw),)
             if not 1 <= len(pw) <= 2:
                 raise ParseError("fp supports powers of length 1 or 2")
             return Element("fp", var=pos[0], powers=pw)
@@ -244,7 +258,7 @@ def parse_element(text: str) -> Element:
         if fn == "ap":
             if len(pos) != 1:
                 raise ParseError("ap needs a count")
-            return Element("ap", ap_count=int(float(pos[0])))
+            return Element("ap", ap_count=parse_number("ap", pos[0], int))
         raise ParseError(f"unknown function {fn!r} in element {text!r}")
 
     if _RE_VARNAME.match(compact):
@@ -430,6 +444,11 @@ def validate_spec(spec, dataset) -> ModelSpec:
         ip = ip * n_lev
     elif len(ip) != n_lev:
         raise SpecError("ip must have one entry per level")
+    for m, n in zip(intmethod, ip):
+        if m not in IP_RANGE:
+            raise SpecError(f"unknown intmethod {m!r}; expected one of {', '.join(IP_RANGE)}")
+        if not IP_RANGE[m][0] <= n <= IP_RANGE[m][1]:
+            raise SpecError(f"ip {n} is outside {list(IP_RANGE[m])} for intmethod {m}")
     if spec.covariance not in ("identity", "diagonal", "unstructured"):
         raise SpecError(f"unknown covariance structure {spec.covariance!r}")
 
@@ -489,7 +508,7 @@ def parse_spec_text(text: str) -> ModelSpec:
             elif key == "intmethod":
                 intmethod = tuple(v.strip() for v in value.split(","))
             elif key == "ip":
-                ip = tuple(int(v) for v in value.split(","))
+                ip = tuple(parse_number("ip", v.strip(), int) for v in value.split(","))
             else:
                 raise ParseError(f"line {lineno}: unknown key {key!r}")
             continue
@@ -507,7 +526,7 @@ def parse_spec_text(text: str) -> ModelSpec:
             family,
             timevar=kw.get("timevar"),
             userf=kw.get("userf"),
-            noconstant=bool(int(kw.get("noconstant", "0"))),
+            noconstant=bool(parse_number("noconstant", kw.get("noconstant", "0"), int)),
         )
         submodels.append(sub)
     if not submodels:

@@ -4,9 +4,11 @@ Random-effect integrals use nodes in standard-normal space (Gauss-Hermite
 product rules, Halton/Sobol quasi-random sequences, or plain Monte Carlo
 draws), which are rescaled by the current random-effect Cholesky factor at
 every likelihood evaluation.  Time integrals use Gauss-Legendre rules over
-a Frame, the rows and times at which a predictor is evaluated; a frame
-kept by the likelihood engine keeps the node blocks it derives and the
-parameter-free values evaluated there, a transient frame keeps nothing.
+a Frame, the rows and times at which a predictor is evaluated, in blocks of
+nodes sized before the first integrand call from the rows and the
+integrand's width; a frame kept by the likelihood engine keeps the node
+blocks it derives and the parameter-free values evaluated there, a
+transient frame keeps nothing.
 """
 
 import warnings
@@ -17,12 +19,17 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-# output values per stacked time-integrand call.  Without a cap a nested
-# integral stacks every node at once (an rmst of 30 rows: 45,000 rows of a
-# cumulative hazard).  A block holds at least one node, so the wide rows of
-# a likelihood pass of several points (estimation.PASS_DOUBLES) take more,
-# smaller blocks than one point's.
+# output values per stacked time-integrand call: a block holds as many
+# nodes as fit, sized before the first call from the rows and the width the
+# caller states.  Without a cap a nested integral stacks every node at once
+# (an rmst of 30 rows: 45,000 rows of a cumulative hazard).  A block holds
+# at least one node, so the wide rows of a likelihood pass of several
+# points (estimation.PASS_DOUBLES) take more, smaller blocks than one
+# point's.
 TIME_BLOCK_DOUBLES = 2**13
+
+# least and most points of each random-effect integration method
+IP_RANGE = {"ghermite": (1, 200), **dict.fromkeys(("halton", "sobol", "mc"), (2, np.inf))}
 
 
 @dataclass(frozen=True)
@@ -42,8 +49,9 @@ def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     integral of f(z) against the standard normal density is approximately
     sum(w * f(z)).  Exact for polynomials of degree <= 2n - 1.
     """
-    if not 1 <= n <= 200:
-        raise ValueError(f"Gauss-Hermite point count must be in [1, 200], got {n}")
+    lo, hi = IP_RANGE["ghermite"]
+    if not lo <= n <= hi:
+        raise ValueError(f"Gauss-Hermite point count must be in [{lo}, {hi}], got {n}")
     nodes, weights = np.polynomial.hermite_e.hermegauss(n)
     weights = weights / np.sqrt(2.0 * np.pi)
     return nodes, weights
@@ -103,38 +111,33 @@ class Frame:
                                             block=True))
 
 
-def integrate_to(fn, at: Frame, n: int, width=None) -> np.ndarray:
+def integrate_to(fn, at: Frame, n: int, width: int) -> np.ndarray:
     """n-point Gauss-Legendre integral of fn over (0, at.t], per row.
 
     fn(block) maps a frame of row indices and equally many times to a
-    (len(block.rows), k) array.  It is called once per block of nodes: the
-    block's times are stacked node-major and the rows tiled to match.  The
-    first block is one node, which gives the width k; later blocks hold as
-    many nodes as fit in TIME_BLOCK_DOUBLES output values, or values of
-    the given width, so that an integrand of another width can take the
-    blocks (and kept frames) of one of that width.  Nodes are clamped to
-    at least 1e-300, so fn may take logs of time, and the node terms are
-    summed in node order, so the result does not depend on the blocking.
-    A kept frame that is not itself a node block keeps each block's frame,
-    keyed by (n, first node, end node).
+    (len(block.rows), width) array.  It is called once per block of nodes,
+    the block's times stacked node-major and its rows tiled; every block
+    but the last holds as many nodes as fit in TIME_BLOCK_DOUBLES values.
+    Nodes are clamped to at least 1e-300, so fn may take logs of time.
+    Each block is weighted in one multiply and its node terms are added in
+    node order, so the result does not depend on the blocking.  A kept
+    frame that is not itself a node block keeps each block's frame, keyed
+    by (n, first node, end node).
     """
     x, w = _legendre(n)
     half = 0.5 * at.t
     m = len(half)
+    size = max(1, TIME_BLOCK_DOUBLES // max(1, m * width))
     acc = None
-    k, size = 0, 1
-    while k < n:
+    for k in range(0, n, size):
         end = min(n, k + size)
         block = at.child(("nodes", n, k, end), lambda: (
             np.tile(at.rows, end - k),
             np.maximum(half * (x[k:end, None] + 1.0), 1e-300).ravel()))
         vals = fn(block)
-        vals = vals.reshape(end - k, m, vals.shape[-1])
-        for j in range(k, end):
-            val = vals[j - k] * (w[j] * half)[:, None]
-            acc = val if acc is None else acc + val
-        size = max(1, TIME_BLOCK_DOUBLES // max(1, m * (width or vals.shape[-1])))
-        k = end
+        terms = vals.reshape(end - k, m, vals.shape[-1]) * (w[k:end, None] * half)[:, :, None]
+        for term in terms:
+            acc = term if acc is None else acc + term
     return acc
 
 
@@ -159,8 +162,8 @@ def qmc_nodes(method: str, n: int, r: int, seed: int = 0) -> NodeSet:
     all-zeros first point; mc draws from a seeded generator, so equal seeds
     give bitwise-identical node sets.
     """
-    if n < 2:
-        raise ValueError("QMC/MC integration needs at least 2 points")
+    if n < IP_RANGE["mc"][0]:
+        raise ValueError(f"QMC/MC integration needs at least {IP_RANGE['mc'][0]} points")
     if r < 1:
         raise ValueError("dimension must be >= 1")
     if method in ("halton", "sobol"):

@@ -202,6 +202,29 @@ def test_malformed_number_exits_2(flags, bad, fitted, surv_csv, tmp_path, capsys
     assert err.startswith(f"error: {flags[-2]} ") and bad in err
 
 
+RI_SPEC = "levels = id\ngaussian : y ~ x + M1[id]*1"
+
+
+@pytest.mark.parametrize("spec, flags, bad", [
+    (RI_SPEC, ["--intmethod", "foo"], "intmethod 'foo'"),
+    (RI_SPEC, ["--ip", "0"], "ip 0 "),
+    (RI_SPEC, ["--ip", "300"], "ip 300 "),
+    (RI_SPEC, ["--intmethod", "halton", "--ip", "1"], "ip 1 "),
+    ("levels = id\nip = abc\ngaussian : y ~ x + M1[id]*1", [], "ip expects an integer, got 'abc'"),
+    (RI_SPEC + " | noconstant=yes", [], "noconstant expects an integer, got 'yes'"),
+    ("levels = id\ngaussian : y ~ rcs(x, df = two) + M1[id]*1", [],
+     "df expects an integer, got 'two'"),
+    ("levels = id\ngaussian : y ~ rcs(x, df = 2.5) + M1[id]*1", [],
+     "df expects an integer, got 2.5"),
+], ids=["intmethod-foo", "ip-0", "ip-300", "halton-ip-1", "spec-ip-abc", "noconstant-yes",
+        "df-two", "df-2.5"])
+def test_bad_integration_or_spec_number_exits_2(spec, flags, bad, lmm_csv, tmp_path, capsys):
+    argv = ["fit", "--inline", spec, *flags, "--data", lmm_csv, "--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad in err
+
+
 class TestMlsurv:
     def test_weibull_matches_fit(self, surv_csv, tmp_path):
         out1 = tmp_path / "a.json"

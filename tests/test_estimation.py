@@ -270,6 +270,35 @@ class TestMaximize:
         assert np.isfinite(err.value.fit.loglik)
         assert not err.value.fit.converged
 
+    @pytest.mark.parametrize("method", ["halton", "sobol", "mc"])
+    def test_qmc_fit_near_gauss_hermite(self, lmm_data, method):
+        # 63 points: scipy's Sobol sequence warns unless the 64 it draws
+        # (the all-zeros first point dropped) are a power of 2
+        text = "levels = id\n{}gaussian : y ~ x + M1[id]*1"
+        gh = fit_spec(text.format("ip = 15\n"), lmm_data)
+        fit = fit_spec(text.format(f"intmethod = {method}\nip = 63\n"), lmm_data)
+        assert fit.converged and fit.intmethod == (method,) and fit.ip == (63,)
+        assert np.all(np.abs(fit.estimates - gh.estimates) < 1.5 * np.sqrt(np.diag(gh.vcov)))
+        assert 0.0 < abs(fit.loglik - gh.loglik) < 2.0
+
+    def test_start_on_penalty_plateau_raises(self, lmm_data, monkeypatch):
+        # at log_sd(resid.) = -1000 the residual sd underflows to 0, so log L
+        # is -inf at the start and at every difference point around it: a
+        # zero gradient on the _BIG plateau, which is not convergence
+        start = estimation.start_values
+
+        def on_plateau(engine):
+            x = start(engine)
+            x[engine.ev.layout.labels.index("log_sd(resid.)")] = -1000.0
+            return x
+
+        monkeypatch.setattr(estimation, "start_values", on_plateau)
+        with pytest.raises(jf.ConvergenceError) as err, \
+                pytest.warns(RuntimeWarning, match="log L is not finite at the estimates"):
+            fit_spec("gaussian : y ~ x", lmm_data)
+        assert not err.value.fit.converged
+        assert err.value.fit.loglik == -estimation._BIG
+
     def test_ip_monotone_convergence(self):
         d = sim_lmm(25, 4, 1.2, 0.5, sd_b=0.6, sd_e=0.4, seed=14)
         p = None

@@ -56,7 +56,7 @@ def nested_product_deriv(tf, factor, order):
 def test_ev_linked_spline_evaluated_once_per_order(monkeypatch):
     """The EV[y] target's spline is one basis call per frame, not one per
     spline column: on a fresh engine the longitudinal rows, the event times
-    and the two blocks of cumulative-hazard nodes make 4 calls.  The
+    and the one block of cumulative-hazard nodes make 3 calls.  The
     engine's kept frames hold those values, so the next evaluation, at
     other parameters, makes none."""
     spec_text = ("levels = id\nip = 7\n"
@@ -75,7 +75,7 @@ def test_ev_linked_spline_evaluated_once_per_order(monkeypatch):
 
     monkeypatch.setattr(basis.RcsBasis, "eval", counted)
     engine.total_loglik(p)
-    assert len(calls) == 4
+    assert len(calls) == 3
     calls.clear()
     engine.total_loglik(p + 0.01)
     assert calls == []

@@ -7,6 +7,7 @@ import jointfit as jf
 from jointfit.estimation import FitResult, LikelihoodEngine
 from jointfit.evaluator import EvalError, Evaluator
 from jointfit.prediction import FittedModel, PredictRequest, predict_stat
+from jointfit.quadrature import Frame
 
 from conftest import fit_spec, make_dataset, sim_lmm, sim_weibull
 
@@ -305,3 +306,32 @@ class TestOverrides:
         assert np.any(got["values"] != 0.0)
         for key in ("rows", "times", "values"):
             assert np.array_equal(got[key], want[key])
+
+
+def test_saved_bases_predict_the_fitting_values():
+    """A fit read back from JSON rebuilds its orthogonalized rcs, fp and
+    explicit-knot bases from the file, not from the prediction data: on
+    the first 40 rows its predictions are the fitting evaluator's values,
+    which the data-derived rcs basis of those 40 rows would not give."""
+    rng = np.random.default_rng(27)
+    n = 300
+    z, x = rng.normal(size=n), rng.integers(0, 2, n) * 1.0
+    t = rng.exponential(1.0 / (0.2 * np.exp(0.3 * z)))
+    cols = {"t": np.maximum(t, 1e-3), "d": (rng.random(n) < 0.8) * 1.0, "z": z, "x": x,
+            "y": np.sin(z) + rng.normal(0.0, 0.3, n)}
+    spec = ("weibull : Surv(t, d) ~ rcs(z, df = 3, orthog = TRUE) + x:fp(t, powers = c(0.5))"
+            " | timevar=t\n"
+            "gaussian : y ~ rcs(z, knots = c(-1, 0, 1))\n")
+    data, head = make_dataset(cols), make_dataset({k: v[:40] for k, v in cols.items()})
+    fit = jf.fit_from_json(jf.fit_to_json(fit_spec(spec, data)))
+    fitting = Evaluator(jf.validate_spec(jf.parse_spec_text(spec), data), data)
+    refitted = Evaluator(jf.validate_spec(jf.parse_spec_text(spec), head), head)
+    model = FittedModel(fit, head)
+    at = Frame(np.arange(40), np.linspace(0.5, 3.0, 40))
+    for m, stat in ((1, "eta"), (1, "hazard"), (2, "eta")):
+        got = predict(model, statistic=stat, predmodel=m, times=at.t)["values"]
+        want, other = (getattr(ev, stat)(fit.estimates, m - 1, at, {})[:, 0]
+                       for ev in (fitting, refitted))
+        assert np.array_equal(got, want), (m, stat)
+        # submodel 2's knots are explicit, the same for any data
+        assert np.allclose(got, other) == (m == 2), (m, stat)

@@ -108,7 +108,7 @@ class TestIntegrateTo:
     def test_polynomial_exact_per_row(self):
         t = np.asarray([0.5, 2.0, 3.0])
         got = integrate_to(lambda fr: np.column_stack([fr.t**5, 2.0 * fr.t]),
-                           Frame(np.arange(3), t), 3)
+                           Frame(np.arange(3), t), 3, 2)
         assert got.shape == (3, 2)
         assert np.allclose(got[:, 0], t**6 / 6.0, rtol=1e-13)
         assert np.allclose(got[:, 1], t**2, rtol=1e-13)
@@ -120,7 +120,7 @@ class TestIntegrateTo:
             nodes.append(fr.t)
             return fr.t[:, None]
 
-        integrate_to(fn, Frame(np.arange(2), np.zeros(2)), 4)
+        integrate_to(fn, Frame(np.arange(2), np.zeros(2)), 4, 1)
         assert np.all(np.concatenate(nodes) == 1e-300)
 
     def test_nodes_stacked_node_major_with_tiled_rows(self):
@@ -131,18 +131,19 @@ class TestIntegrateTo:
             calls.append((fr.rows, fr.t))
             return np.column_stack([fr.t, fr.rows])
 
-        got = integrate_to(fn, Frame(rows, t), n)
-        # one node first to learn the width, then the rest in one block
-        assert [len(u) for _, u in calls] == [2, 6]
+        got = integrate_to(fn, Frame(rows, t), n, 2)
+        # 2 rows x width 2 fit every node in one block
+        assert len(calls) == 1
         x, _ = np.polynomial.legendre.leggauss(n)
         want_u = np.concatenate([0.5 * t * (xk + 1.0) for xk in x])
-        assert np.array_equal(np.concatenate([r for r, _ in calls]), np.tile(rows, n))
-        assert np.array_equal(np.concatenate([u for _, u in calls]), want_u)
+        assert np.array_equal(calls[0][0], np.tile(rows, n))
+        assert np.array_equal(calls[0][1], want_u)
         assert np.allclose(got[:, 0], t**2 / 2.0, rtol=1e-13)
         assert np.allclose(got[:, 1], rows * t, rtol=1e-13)
 
     def test_budget_sets_block_size(self, monkeypatch):
-        # 3 rows x width 2 = 6 output values per node; 13 values hold 2 nodes
+        # 3 rows x width 2 = 6 output values per node; 13 values hold 2
+        # nodes, sized before the first call
         monkeypatch.setattr(quadrature, "TIME_BLOCK_DOUBLES", 13)
         sizes = []
 
@@ -150,8 +151,21 @@ class TestIntegrateTo:
             sizes.append(len(fr.t) // 3)
             return np.column_stack([fr.t, fr.t**2])
 
-        integrate_to(fn, Frame(np.arange(3), np.ones(3)), 7)
-        assert sizes == [1, 2, 2, 2]
+        integrate_to(fn, Frame(np.arange(3), np.ones(3)), 7, 2)
+        assert sizes == [2, 2, 2, 1]
+
+    def test_stated_width_sets_block_size(self, monkeypatch):
+        # the width the caller states sizes the blocks, not the width the
+        # integrand returns: 3 rows x width 4 = 12 values, one node a block
+        monkeypatch.setattr(quadrature, "TIME_BLOCK_DOUBLES", 13)
+        sizes = []
+
+        def fn(fr):
+            sizes.append(len(fr.t) // 3)
+            return fr.t[:, None]
+
+        integrate_to(fn, Frame(np.arange(3), np.ones(3)), 5, 4)
+        assert sizes == [1] * 5
 
     def test_empty_rows(self):
         calls = []
@@ -160,9 +174,9 @@ class TestIntegrateTo:
             calls.append(len(fr.t))
             return np.zeros((len(fr.rows), 3))
 
-        got = integrate_to(fn, Frame(np.arange(0), np.zeros(0)), 5)
+        got = integrate_to(fn, Frame(np.arange(0), np.zeros(0)), 5, 3)
         assert got.shape == (0, 3)
-        assert calls == [0, 0]
+        assert calls == [0]
 
 
 def radical_inverse_halton(n, r):
@@ -199,10 +213,12 @@ class TestQmc:
         assert ndtri(0.5) == 0.0
 
     def test_deterministic(self):
-        for method in ("halton", "sobol"):
-            a = qmc_nodes(method, 64, 3)
-            b = qmc_nodes(method, 64, 3)
-            assert np.array_equal(a.nodes, b.nodes)
+        a, b = qmc_nodes("halton", 64, 3), qmc_nodes("halton", 64, 3)
+        assert np.array_equal(a.nodes, b.nodes)
+        # 65 Sobol points (the all-zeros first one dropped) are not a power of 2
+        with pytest.warns(UserWarning, match="balance properties"):
+            a, b = qmc_nodes("sobol", 64, 3), qmc_nodes("sobol", 64, 3)
+        assert np.array_equal(a.nodes, b.nodes)
 
     def test_mc_seed_determinism(self):
         a = qmc_nodes("mc", 50, 2, seed=123)

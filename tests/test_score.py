@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from jointfit import estimation
+from jointfit import estimation, quadrature
 from jointfit.estimation import (_BIG, GRAD_STEP, _bfgs_gradient, _neg_loglik, central_gradient,
                                  start_values)
 from jointfit.evaluator import EvalError, Evaluator
@@ -237,7 +237,9 @@ def test_eta_gradient_refuses_other_links(monkeypatch):
 def test_score_integrates_on_the_node_blocks_of_one_cumulative_hazard(monkeypatch):
     # the hazard's node terms for all its parameters are taken on the node
     # blocks of the one-point H: as many integrand calls, and no node-block
-    # frame that the one-point evaluation did not keep
+    # frame that the one-point evaluation did not keep.  A quarter of the
+    # block budget splits each chunk's 30 nodes into several blocks.
+    monkeypatch.setattr(quadrature, "TIME_BLOCK_DOUBLES", quadrature.TIME_BLOCK_DOUBLES // 4)
     spec_text, data = _model(monkeypatch, "ev_rcs")
     eng = _engine(spec_text, data)
     x = _points("ev_rcs", eng)[1]
@@ -319,6 +321,21 @@ class TestIntegratedHazardScores:
                         assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, np.max(np.abs(want)))
                         checked += 1
         assert checked == 192
+
+    @pytest.mark.parametrize("term", ["EV[y]:t", "EV[y]:rcs(t, df = 2)", "XB[y]:t:x",
+                                      "EV[y]:fp(t, powers = c(0))"])
+    def test_link_times_other_time_factors_matches_central_differences(self, term):
+        # the link factor's derivative is multiplied by the column's other
+        # factors, here functions of the survival time
+        spec = ("levels = id\nip = 3\n"
+                f"weibull : Surv(t, d) ~ x + {term} + M1[id] | timevar=t\n"
+                "gaussian : y ~ z + time + M1[id]*1 | timevar=time\n")
+        eng = _engine(spec, self.data())
+        assert all(eng.analytic)
+        x = start_values(eng) + np.random.default_rng(52).normal(0.0, 0.1, eng.ev.n_params())
+        want = central_gradient(eng.total_loglik, x, GRAD_STEP)
+        got = eng.score(x)
+        assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, np.max(np.abs(want)))
 
 
 def test_zero_weight_nodes_contribute_zero():
