@@ -47,11 +47,20 @@ re-evaluates that submodel alone.  A one-point evaluation keeps its
 reduction, so the score at the point the line search has just accepted
 does not evaluate it again.  Where the score is not finite or cannot be
 evaluated, BFGS takes central differences of the whole likelihood, which
-carry the _BIG penalty, and counts them (engine.fallbacks).  The standard
-errors come from the Hessian of symmetric second differences, whose
-p^2 + p + 1 points are f at the estimates, one step either way on each
-axis and one step either way on each pair of axes; they go to the engine
-in one call, and the line search evaluates one point at a time.
+carry the _BIG penalty, and counts them (engine.fallbacks).
+
+The standard errors invert a Hessian of -log L at the estimates.  Where
+every submodel's row scores are analytic and the model has at most one
+level (engine.exact_information), it is the engine's observed information
+(LikelihoodEngine.information): each cluster's posterior mean of the row
+second derivatives plus the posterior covariance of its node scores
+(Louis 1982), the exact Hessian of the likelihood on its fixed nodes,
+from one pass over the chunks at the estimates.  Every other model (rows
+differenced centrally, or two or more levels) keeps the Hessian of
+symmetric second differences, whose p^2 + p + 1 points are f at the
+estimates, one step either way on each axis and one step either way on
+each pair of axes; they go to the engine in one call, and the line search
+evaluates one point at a time.
 """
 
 import json
@@ -139,6 +148,8 @@ class LikelihoodEngine:
         self.batch = max(1, PASS_DOUBLES // (rows * self.nq))
         self.deps = self._dependencies()
         self.analytic = [self._analytic(i) for i in range(len(self.deps))]
+        # the standard errors invert the exact information, not the grid
+        self.exact_information = all(self.analytic) and len(self.spec.levels) <= 1
         # total_loglik calls and points, score calls, and gradients that
         # fell back to central differences of the whole likelihood, so far
         self.calls = self.points = self.scores = self.fallbacks = 0
@@ -405,13 +416,8 @@ class LikelihoodEngine:
         as where a cluster's log L is not."""
         x = np.asarray(x, dtype=float)
         self.scores += 1
-        key, xdraws, weights = x.tobytes(), self.draws(x), []
-        for chunk in self.chunks:
-            kept_key, levels = chunk.get("kept", (None, None))
-            if kept_key != key:
-                levels = []
-                self._reduce(chunk, self._row_sums(chunk, x, xdraws), levels=levels)
-            weights.append(self._node_weights(chunk, levels))
+        xdraws = self.draws(x)
+        weights = self._weights(x, xdraws)
         n = len(x)
         if not all(np.all(np.isfinite(W)) for W, _ in weights):
             return np.full(n, np.nan)
@@ -449,6 +455,110 @@ class LikelihoodEngine:
                     for chunk, rows in zip(self.chunks, S)]
         g = np.sum(np.concatenate(clusters), axis=0) if clusters else np.zeros(n)
         return np.where(np.isfinite(g), g, np.nan)
+
+    def _weights(self, x, xdraws):
+        """Each chunk's _node_weights at one point x, from the reduction kept
+        by the last one-point evaluation if it was at x."""
+        key, weights = x.tobytes(), []
+        for chunk in self.chunks:
+            kept_key, levels = chunk.get("kept", (None, None))
+            if kept_key != key:
+                levels = []
+                self._reduce(chunk, self._row_sums(chunk, x, xdraws), levels=levels)
+            weights.append(self._node_weights(chunk, levels))
+        return weights
+
+    def information(self, x) -> np.ndarray:
+        """The observed information -d2 log L / d theta d theta' at one
+        point x (p,), for a model whose submodels are all in self.analytic
+        and which has at most one level (self.exact_information).
+
+        With fixed nodes a top-level cluster's likelihood is exactly
+        L_i = sum_q v_q exp(l_iq), so d2 log L_i = sum_q w_iq d2 l_iq +
+        sum_q w_iq (s_iq - s_i)(s_iq - s_i)', the posterior mean of the
+        second derivatives plus the posterior covariance of the node scores
+        s_iq = dl_iq / d theta, with the posterior weights w_iq of the
+        reduction at x and s_i = sum_q w_iq s_iq, the score (Louis 1982):
+        the exact Hessian of the discretized likelihood.  Each submodel's
+        rows give their node scores and sum_q w d2 l (_row_information);
+        both are summed per top-level cluster (a row, without levels) and
+        node, the cluster's information is formed pair by pair on
+        (clusters, nq) arrays, and the clusters' matrices are summed at
+        once, so the result does not depend on the chunk partition.  A node
+        of weight 0 contributes 0.  Not finite where a cluster's log L or
+        a derivative is not."""
+        x = np.asarray(x, dtype=float)
+        xdraws, n, nq, parts = self.draws(x), len(x), self.nq, []
+        pairs = _pairs(n)
+        for chunk, (W, _) in zip(self.chunks, self._weights(x, xdraws)):
+            top = chunk["top"]
+            n_top = int(top.max()) + 1
+            w = W if self.spec.levels else np.ones((n_top, 1))  # (clusters, nq)
+            S, D2 = np.zeros((n, n_top, nq)), np.zeros((n, n, n_top))
+            for i, deps in enumerate(self.deps):
+                local, at = chunk["subs"][i]
+                if not len(local):
+                    continue
+                lab, m = top[local], len(deps)
+                rows = self._row_information(i, x, xdraws, at, w[lab], deps)
+                idx = (lab[:, None] * nq + np.arange(nq)).ravel()
+                for a, k in enumerate(deps):
+                    S[k] += np.bincount(idx, weights=rows[:, a * nq:(a + 1) * nq].ravel(),
+                                        minlength=n_top * nq).reshape(n_top, nq)
+                for c, (a, b) in enumerate(_pairs(m), start=m * nq):
+                    D2[deps[a], deps[b]] += np.bincount(lab, weights=rows[:, c], minlength=n_top)
+            s = np.sum(w * S, axis=-1)
+            dev = np.where(w > 0, S - s[..., None], 0.0)
+            wdev = w * dev
+            J = np.empty((n_top, n, n))
+            for a, b in pairs:
+                J[:, a, b] = J[:, b, a] = -(D2[a, b] + np.sum(wdev[a] * dev[b], axis=-1))
+            parts.append(J)
+        return np.sum(np.concatenate(parts), axis=0) if parts else np.zeros((n, n))
+
+    def _row_information(self, i, x, draws, at, Wl, deps) -> np.ndarray:
+        """Submodel i's rows at x on a chunk's kept frame, from their node
+        weights Wl, packed as _louis_rows packs them: each row's score at
+        every node and its sum_q Wl d2 l per pair of deps.
+
+        A survival row with H = exp(eta) Lambda0(t) has l = d (eta + off) -
+        exp(eta) Lambda0.  Else H is the sum over the Gauss-Legendre nodes
+        u_j of w_j exp(g(u_j)), g = eta + off, so the rows subtract the node
+        sums of h (dg dg' + d2 g) and of h dg from the event terms of
+        d g(t), on the node blocks of the one-point H, one eta_gradient per
+        block, as score does."""
+        fam = families.FAMILIES[self.spec.submodels[i].family]
+        eta, d_eta, d2_eta = self.ev.eta_gradient(x, i, at, draws, second=True)
+        ap, ap_idx = self.ev._ap(x, i), self.ev.subs[i].ap_idx
+        terms = partial(_louis_rows, deps=deps, ap_idx=ap_idx)
+        if not fam.survival:
+            y = at.y[:, None]
+            dl, dap = fam.loglik_d(y, eta, ap)
+            return terms(d_eta, d2_eta, Wl, dl, *fam.loglik_d2(y, eta, ap), dap=dap)
+        t, d = at.t[:, None], at.y[:, 1:2]
+        if self.ev.closed_form_cumhazard(i):
+            e = np.exp(eta)
+            H = e * fam.cumhazard(t, ap)
+            dc = [e * v for v in fam.cumhazard_d(t, ap)]
+            return terms(d_eta, d2_eta, Wl, d - H, -H, [-v for v in dc],
+                         [d * o - e * c for o, c in zip(fam.log_hazard_d2(t, ap),
+                                                        fam.cumhazard_d2(t, ap))],
+                         dap=[d * o - v for o, v in zip(fam.log_hazard_d(t, ap), dc)])
+
+        def node_terms(block):
+            b_eta, b_d_eta, b_d2_eta = self.ev.eta_gradient(x, i, block, draws, second=True)
+            u = block.t[:, None]
+            h = np.exp(b_eta + fam.log_hazard(u, ap))
+            off = fam.log_hazard_d(u, ap)
+            off2 = [h * (off[a] * off[b] + o)
+                    for (a, b), o in zip(_pairs(len(off)), fam.log_hazard_d2(u, ap))]
+            hoff = [h * o for o in off]
+            return terms(b_d_eta, b_d2_eta, np.tile(Wl, (len(u) // len(Wl), 1)), h, h, hoff,
+                         off2, dap=hoff)
+        events = terms(d_eta, d2_eta, Wl, d, None, None,
+                       [d * o for o in fam.log_hazard_d2(t, ap)],
+                       dap=[d * o for o in fam.log_hazard_d(t, ap)])
+        return events - integrate_to(node_terms, at, TIME_GL_POINTS, Wl.shape[1])
 
     def _analytic_rows(self, i, x, draws, at, Wl, deps) -> np.ndarray:
         """Submodel i's closed-form row scores at x on a chunk's kept frame,
@@ -505,6 +615,77 @@ class LikelihoodEngine:
         for k, v in zip(ap_idx, dap):
             out[:, col[k]] = np.sum(weighted(v), axis=-1)
         return out
+
+
+def _pairs(n):
+    """The index pairs (a, b), a <= b < n, in row-major order."""
+    return [(a, b) for a in range(n) for b in range(a, n)]
+
+
+def _louis_rows(d_eta, d2_eta, Wl, dl, dll, dla, daa, dap, deps, ap_idx) -> np.ndarray:
+    """Rows of l(eta(theta), ap) for the observed information, packed as
+    (rows, len(deps) * nq + pairs): first each parameter of deps in turn,
+    its node scores dl/d theta at every node (dl d eta/d theta, or dl/dap
+    for an ancillary), then for each pair of deps positions a <= b in
+    row-major order the weighted node sum sum_q Wl d2 l/d theta_a
+    d theta_b, from the kernel's d2l/deta2 (dll, None for 0), d2l/deta dap
+    (dla, None for 0) and d2l/dap dap' (daa, by ancillary pair), and the
+    predictor's d eta and d2 eta from eta_gradient.  A parameter of deps
+    that reaches no column (the log_sd of a level's other random effect)
+    has derivatives 0.  A node of weight 0 has node scores 0 and
+    contributes 0, though a kernel may be inf or nan there."""
+    zero = None if np.all(Wl) else Wl == 0
+    rows, nq, m = Wl.shape[0], Wl.shape[1], len(deps)
+    out = np.zeros((rows, m * nq + m * (m + 1) // 2))
+    ap = dict(zip(ap_idx, dap))
+    for a, k in enumerate(deps):
+        node_scores = out[:, a * nq:(a + 1) * nq]
+        if k in d_eta:
+            np.multiply(dl, d_eta[k], out=node_scores)
+        elif k in ap:
+            node_scores[:] = ap[k]
+        if zero is not None:
+            node_scores[zero] = 0.0
+    dla = {} if dla is None else dict(zip(ap_idx, dla))
+    daa = {(ap_idx[a], ap_idx[b]): v for (a, b), v in zip(_pairs(len(ap_idx)), daa)}
+    sums = {}  # id(kernel) -> sum_q Wl x kernel
+
+    def node_sum(kernel, *factors):
+        # sum_q Wl x kernel x the factors, each (n, 1) or (n, nq): an (n, 1)
+        # factor is taken out of the sum
+        wide = [f for f in factors if f.shape[1] > 1]
+        if wide or id(kernel) not in sums:
+            v = Wl * kernel
+            if zero is not None:
+                v[zero] = 0.0
+            for f in wide:
+                v *= f
+            s = np.sum(v, axis=-1)
+            if not wide:
+                sums[id(kernel)] = s
+        else:
+            s = sums[id(kernel)]
+        for f in factors:
+            if f.shape[1] == 1:
+                s = s * f[:, 0]
+        return s
+    c = m * nq
+    for a, k in enumerate(deps):
+        for l in deps[a:]:
+            gk, gl = d_eta.get(k), d_eta.get(l)
+            if gk is not None and gl is not None:
+                if (k, l) in d2_eta:
+                    out[:, c] = node_sum(dl, d2_eta[k, l])
+                if dll is not None:
+                    out[:, c] += node_sum(dll, gk, gl)
+            elif gk is not None and l in dla:
+                out[:, c] = node_sum(dla[l], gk)
+            elif gl is not None and k in dla:
+                out[:, c] = node_sum(dla[k], gl)
+            elif (k, l) in daa:
+                out[:, c] = node_sum(daa[k, l])
+            c += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -778,26 +959,48 @@ def _check_observed_covariates(spec: ModelSpec, data: Dataset) -> None:
 
 def _vcov(engine, xhat):
     """The inverse Hessian of -log L at xhat, or None, with a RuntimeWarning
-    that gives the reason: a Hessian point has the _BIG penalty, the Hessian
-    is singular, or a variance is not finite and positive.  Logs a debug
-    record of the Hessian's point count, smallest eigenvalue and condition
-    number."""
-    calls = []
+    that gives the reason.
 
-    def objective(points):
-        calls.append((points, _neg_loglik(engine, points)))
-        return calls[-1][1]
-
-    H = central_hessian(objective, xhat, HESS_STEP)
-    (points, values), = calls
+    The Hessian is the engine's exact observed information where
+    engine.exact_information holds (every submodel's row scores are
+    analytic and there is at most one level); there it may not be finite
+    at the estimates, and the warning says whether log L is.  Every other
+    model keeps the grid of symmetric second differences (central_hessian),
+    where a grid point may have the _BIG penalty.  On both, the Hessian may
+    be singular or have a variance that is not finite and positive.  Logs a
+    debug record of the Hessian's source (its cluster count or grid point
+    count), smallest eigenvalue and condition number."""
     labels = engine.ev.layout.labels
+    if engine.exact_information:
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                H = engine.information(xhat)
+        except (FloatingPointError, ValueError):
+            H = np.full((len(xhat), len(xhat)), np.nan)
+        source = f"exact information, {engine.n_clusters} clusters"
+        if not np.all(np.isfinite(H)):
+            log.debug("Hessian: %s, not finite", source)
+            _no_vcov(("log L" if _neg_loglik(engine, xhat) >= _BIG else "the information")
+                     + " is not finite at the estimates")
+            return None
+        penalized = None
+    else:
+        calls = []
+
+        def objective(points):
+            calls.append((points, _neg_loglik(engine, points)))
+            return calls[-1][1]
+
+        H = central_hessian(objective, xhat, HESS_STEP)
+        (points, values), = calls
+        source = f"{len(points)} points"
+        penalized = values >= _BIG
     eig = np.linalg.eigvalsh(H)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.max(np.abs(eig)) / np.min(np.abs(eig))
-    log.debug("Hessian: %d points, smallest eigenvalue %.6g, condition number %.6g",
-              len(points), eig[0], cond)
-    penalized = values >= _BIG
-    if np.any(penalized):
+    log.debug("Hessian: %s, smallest eigenvalue %.6g, condition number %.6g",
+              source, eig[0], cond)
+    if penalized is not None and np.any(penalized):
         # name the parameters of the penalized points that move the fewest,
         # so a point moving i and j is blamed on i alone when x - h_i e_i
         # is penalized too
@@ -816,7 +1019,8 @@ def _vcov(engine, xhat):
     bad = ~np.all(np.isfinite(vcov), axis=0) | ~(d > 0)
     if np.any(bad):
         _no_vcov("the inverse Hessian has a non-finite or non-positive variance of "
-                 + ", ".join(labels[k] for k in np.flatnonzero(bad)))
+                 + ", ".join(labels[k] for k in np.flatnonzero(bad))
+                 + f" (smallest eigenvalue {eig[0]:.6g})")
         return None
     return vcov
 

@@ -335,7 +335,7 @@ class Evaluator:
             acc = acc + coef * v
         return acc
 
-    def eta_gradient(self, params, sub_idx, at: Frame, draws):
+    def eta_gradient(self, params, sub_idx, at: Frame, draws, second=False):
         """eta on a frame, with the bits of eta(), and d eta / d theta for
         each parameter of the predictor, (n, 1) or (n, nq) by parameter
         index: a coefficient's column value; for log_sd(Mk) the sum of
@@ -348,10 +348,15 @@ class Evaluator:
         link value is mean_value of that eta (the bits of expval), and
         the other factors are multiplied out, never divided out of the
         column value, which can be 0.  The atanh_corr parameters and the
-        other link kinds are not covered."""
+        other link kinds are not covered.
+
+        With second, also the nonzero d2 eta / d theta d theta', by
+        parameter pair (k, l), k <= l (_column_hessian)."""
         nq = node_width(params, draws)
         calls: dict[tuple[int, str], np.ndarray] = {}
-        targets = {}  # id(link element) -> (eta_target gradient, dmu/deta or None)
+        # id(link element) -> (eta_target gradient, dmu/deta or None, and with
+        # second eta_target's second derivatives and d2mu/deta2 or None)
+        targets = {}
         for col in self.subs[sub_idx].columns:
             for el, _ in col.time_factors:
                 if el.kind != "link" or id(el) in targets:
@@ -359,12 +364,24 @@ class Evaluator:
                 if el.link_kind not in ("EV", "XB"):
                     raise EvalError(f"no closed-form gradient through {el.link_kind}[]")
                 fam = self.spec.submodels[el.target_index].family
-                t_eta, t_grad = self.eta_gradient(params, el.target_index, at, draws)
+                if second:
+                    t_eta, t_grad, t_hess = self.eta_gradient(params, el.target_index, at,
+                                                              draws, second=True)
+                else:
+                    t_eta, t_grad = self.eta_gradient(params, el.target_index, at, draws)
                 ev = el.link_kind == "EV"
                 calls[(id(el), "value")] = families.mean_value(fam, t_eta) if ev else t_eta
                 targets[id(el)] = t_grad, families.mean_d1(fam, t_eta) if ev else None
+                if second:
+                    # through an identity link EV[] has the derivatives of
+                    # XB[], and a derivative without random effects stays
+                    # (n, 1)
+                    ev = ev and families.FAMILIES[fam].link is not families.IDENTITY
+                    targets[id(el)] = (t_grad, families.mean_d1(fam, t_eta) if ev else None,
+                                       t_hess, families.mean_d2(fam, t_eta) if ev else None)
         acc = np.zeros((len(at.rows), nq))
         out: dict[int, np.ndarray] = {}
+        hess: dict[tuple[int, int], np.ndarray] = {}
 
         def add(k, v):
             out[k] = out[k] + v if k in out else v
@@ -385,12 +402,71 @@ class Evaluator:
                     if m != j:
                         other = other * _column(
                             self._factor(params, fel, at, draws, "value", calls), fbi)
-                t_grad, dmu = targets[id(el)]
+                t_grad, dmu = targets[id(el)][:2]
                 if dmu is not None:
                     other = other * dmu
                 for k, g in t_grad.items():
                     add(k, other * g)
-        return acc, out
+            if second:
+                self._column_hessian(col, coef, base, params, at, draws, calls, targets, hess)
+        return (acc, out, hess) if second else (acc, out)
+
+    def _column_hessian(self, col, coef, base, params, at, draws, calls, targets, hess):
+        """Add one column's d2 / d theta d theta' to hess, by the product
+        rule over its factors that depend on the parameters: the
+        coefficient (d/dcoef = 1), the random-effect draws with the static
+        values (base: d/dlog_sd_k = d2/dlog_sd_k dlog_sd_m = base, as b_k =
+        exp(log_sd_k) z_k) and each EV[]/XB[] link value mu(eta_t), whose
+        derivatives are mu' d eta_t and mu'' d eta_t d eta_t' + mu' d2 eta_t
+        (mu' = 1, mu'' = 0 for XB[] and an identity link).  Each factor's
+        second derivatives times the others, and each pair of factors'
+        first derivatives times the rest; a pair's first derivatives in one
+        parameter count twice."""
+        groups, fixed = [], 1.0  # (value, gradient, second derivatives); the rest
+        if col.param is not None:
+            groups.append((coef, {col.param: 1.0}, {}))
+        if col.re_names:
+            ls = sorted(self.layout.log_sd_of[name] for name in col.re_names)
+            groups.append((base, dict.fromkeys(ls, base),
+                           {(a, b): base for n, a in enumerate(ls) for b in ls[n:]}))
+        else:
+            fixed = base
+        for el, bi in col.time_factors:
+            value = _column(self._factor(params, el, at, draws, "value", calls), bi)
+            if el.kind != "link":
+                fixed = fixed * value
+                continue
+            t_grad, dmu, t_hess, d2mu = targets[id(el)]
+            if dmu is None:
+                groups.append((value, t_grad, t_hess))
+                continue
+            keys = sorted(t_grad)
+            second = {(a, b): d2mu * t_grad[a] * t_grad[b]
+                      for n, a in enumerate(keys) for b in keys[n:]}
+            for key, h in t_hess.items():
+                second[key] = second[key] + dmu * h
+            groups.append((value, {k: dmu * g for k, g in t_grad.items()}, second))
+
+        def rest(*skip):
+            out = fixed
+            for m, (value, _, _) in enumerate(groups):
+                if m not in skip:
+                    out = out * value
+            return out
+
+        def add(k, l, v):
+            key = (k, l) if k <= l else (l, k)
+            hess[key] = hess[key] + v if key in hess else v
+        for a, (_, grad_a, second_a) in enumerate(groups):
+            if second_a:
+                r = rest(a)
+                for (k, l), h in second_a.items():
+                    add(k, l, r * h)
+            for b in range(a + 1, len(groups)):
+                r = rest(a, b)
+                for k, u in grad_a.items():
+                    for l, w in groups[b][1].items():
+                        add(k, l, (2.0 if k == l else 1.0) * r * u * w)
 
     def _column_values(self, params, sub_idx, at: Frame, draws, nq, order, calls):
         """Each column of the predictor with its base (static x draws) and

@@ -11,7 +11,10 @@ poisson), d(log h - eta)/dap of the survival families with a log-hazard
 offset (exponential, weibull, gompertz, loghazard), and dLambda0/dap of
 those with a closed-form Lambda0, whose dl/deta is then d - H.  A family
 without them (None: rp, beta, negbinomial, user) has its rows
-differenced centrally.
+differenced centrally.  Every family with derivative kernels also has
+second-derivative kernels, for the engine's observed information:
+loglik_d2, log_hazard_d2 and cumhazard_d2.  A second derivative in the
+ancillaries ap[k], ap[m] is given for each pair k <= m, in row-major order.
 
 Every kernel is elementwise.  An ancillary ap[k] is a scalar for one
 parameter point or a row of one value per node column for a batch of
@@ -51,6 +54,10 @@ class Family:
     loglik_d: Callable | None = None    # (y, eta, ap) -> (dl/deta, (dl/dap[k], ...))
     cumhazard_d: Callable | None = None   # (t, ap) -> (dLambda0/dap[k], ...)
     log_hazard_d: Callable | None = None  # (t, ap) -> (d(log h - eta)/dap[k], ...)
+    # (y, eta, ap) -> (d2l/deta2, (d2l/deta dap[k], ...), (d2l/dap[k] dap[m], ...))
+    loglik_d2: Callable | None = None
+    cumhazard_d2: Callable | None = None    # (t, ap) -> (d2Lambda0/dap[k] dap[m], ...)
+    log_hazard_d2: Callable | None = None   # (t, ap) -> (d2(log h - eta)/dap[k] dap[m], ...)
 
 
 def _logit_d1(eta):
@@ -81,6 +88,11 @@ def _gaussian(y, eta, ap):
 def _gaussian_d(y, eta, ap):
     z2 = (y - eta) / np.exp(2.0 * ap[0])
     return z2, (z2 * (y - eta) - 1.0,)
+
+
+def _gaussian_d2(y, eta, ap):
+    z2 = (y - eta) / np.exp(2.0 * ap[0])
+    return -np.exp(-2.0 * ap[0]), (-2.0 * z2,), (-2.0 * z2 * (y - eta),)
 
 
 def _negbinomial(y, eta, ap):
@@ -123,6 +135,21 @@ def _gompertz_lambda0_d(t, ap):
     return (t * t * np.where(small, series, (np.expm1(safe) * (safe - 1.0) + safe) / safe**2),)
 
 
+def _gompertz_lambda0_d2(t, ap):
+    """d2Lambda0/dgamma2 = t^3 (e^u (u^2 - 2u + 2) - 2) / u^3 with u = gamma t,
+    as (expm1(u) (u^2 - 2u + 2) + u^2 - 2u) / u^3, and by its Taylor series
+    where |u| < 0.1 (t^3 / 3 at gamma = 0): the difference loses about
+    5 eps / u^2 of its value to cancellation, 1e-13 at the bound, where the
+    first term the series omits, u^8 / 443,520, is 7e-14 of its value."""
+    u = ap[0] * t
+    small = np.abs(u) < 0.1
+    safe = np.where(small, 1.0, u)
+    series = 1.0 / 3.0 + u * (0.25 + u * (0.1 + u * (1.0 / 36.0 + u * (
+        1.0 / 168.0 + u * (1.0 / 960.0 + u * (1.0 / 6480.0 + u / 50400.0))))))
+    exact = (np.expm1(safe) * (safe * (safe - 2.0) + 2.0) + safe * (safe - 2.0)) / safe**3
+    return (t**3 * np.where(small, series, exact),)
+
+
 def _weibull_offset(t, ap):
     gamma = np.exp(ap[0])
     return np.log(gamma) + (gamma - 1.0) * np.log(t)
@@ -133,8 +160,21 @@ def _weibull_lambda0_d(t, ap):
     return (t**gamma * gamma * np.log(t),)
 
 
+def _weibull_lambda0_d2(t, ap):
+    gl = np.exp(ap[0]) * np.log(t)
+    return (t**np.exp(ap[0]) * gl * (1.0 + gl),)
+
+
 def _weibull_offset_d(t, ap):
     return (1.0 + np.exp(ap[0]) * np.log(t),)
+
+
+def _weibull_offset_d2(t, ap):
+    return (np.exp(ap[0]) * np.log(t),)
+
+
+def _no_ancillary(t, ap):
+    return ()
 
 
 def _rate_start(y):
@@ -157,30 +197,36 @@ def _user_start(y):
 
 FAMILIES = {
     "gaussian": Family(("log_sd(resid.)",), IDENTITY, _gaussian, start=_gaussian_start,
-                       loglik_d=_gaussian_d),
+                       loglik_d=_gaussian_d, loglik_d2=_gaussian_d2),
     # y*eta - log(1 + exp(eta)), stable via logaddexp
     "bernoulli": Family((), LOGIT, lambda y, eta, ap: y * eta - np.logaddexp(0.0, eta),
                         start=_mean_start(LOGIT),
-                        loglik_d=lambda y, eta, ap: (y - expit(eta), ())),
+                        loglik_d=lambda y, eta, ap: (y - expit(eta), ()),
+                        loglik_d2=lambda y, eta, ap: (-_logit_d1(eta), (), ())),
     "poisson": Family((), LOG, lambda y, eta, ap: y * eta - np.exp(eta) - gammaln(y + 1.0),
                       start=_mean_start(LOG),
-                      loglik_d=lambda y, eta, ap: (y - np.exp(eta), ())),
+                      loglik_d=lambda y, eta, ap: (y - np.exp(eta), ()),
+                      loglik_d2=lambda y, eta, ap: (-np.exp(eta), (), ())),
     "beta": Family(("log_phi",), LOGIT, _beta, start=_mean_start(LOGIT)),
     "negbinomial": Family(("log_alpha",), LOG, _negbinomial, start=_mean_start(LOG)),
     "exponential": Family(survival=True, cumhazard=lambda t, ap: t,
                           log_hazard=lambda t, ap: np.zeros_like(t), start=_rate_start,
-                          cumhazard_d=lambda t, ap: (), log_hazard_d=lambda t, ap: ()),
+                          cumhazard_d=_no_ancillary, log_hazard_d=_no_ancillary,
+                          cumhazard_d2=_no_ancillary, log_hazard_d2=_no_ancillary),
     "weibull": Family(("log(gamma)",), survival=True,
                       cumhazard=lambda t, ap: t**np.exp(ap[0]),
                       log_hazard=_weibull_offset, start=_rate_start,
-                      cumhazard_d=_weibull_lambda0_d, log_hazard_d=_weibull_offset_d),
+                      cumhazard_d=_weibull_lambda0_d, log_hazard_d=_weibull_offset_d,
+                      cumhazard_d2=_weibull_lambda0_d2, log_hazard_d2=_weibull_offset_d2),
     "gompertz": Family(("gamma",), survival=True, cumhazard=_gompertz_lambda0,
                        log_hazard=lambda t, ap: ap[0] * t, start=_rate_start,
-                       cumhazard_d=_gompertz_lambda0_d, log_hazard_d=lambda t, ap: (t,)),
+                       cumhazard_d=_gompertz_lambda0_d, log_hazard_d=lambda t, ap: (t,),
+                       cumhazard_d2=_gompertz_lambda0_d2,
+                       log_hazard_d2=lambda t, ap: (np.zeros_like(t),)),
     "rp": Family(survival=True, baseline_in_eta=True, start=_rate_start),
     "loghazard": Family(survival=True, log_hazard=lambda t, ap: np.zeros_like(t),
                         baseline_in_eta=True, start=_rate_start,
-                        log_hazard_d=lambda t, ap: ()),
+                        log_hazard_d=_no_ancillary, log_hazard_d2=_no_ancillary),
     "user": Family(start=_user_start, user=True),
     "null": Family((), IDENTITY,
                    lambda y, eta, ap: np.zeros(np.broadcast_shapes(y.shape, eta.shape))),

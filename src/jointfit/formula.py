@@ -173,6 +173,17 @@ def parse_number(key, token, kind=float):
     return kind(value)
 
 
+def parse_flag(key, token) -> bool:
+    """token, a parsed option value, as a flag: TRUE/T/true or FALSE/F/false
+    (parsed to True/False), or the number 1 or 0; a ParseError names the
+    key and any other token."""
+    if isinstance(token, bool):
+        return token
+    if isinstance(token, float) and token in (0.0, 1.0):
+        return token == 1.0
+    raise ParseError(f"{key} expects TRUE or FALSE, got {token!r}")
+
+
 def _parse_value(key: str, text: str):
     text = text.strip()
     if text in ("TRUE", "T", "true"):
@@ -235,9 +246,9 @@ def parse_element(text: str) -> Element:
                 el.knots = k if isinstance(k, tuple) else (parse_number("knots", k),)
             if (el.df is None) == (el.knots is None):
                 raise ParseError("rcs needs exactly one of df/knots")
-            el.orthog = bool(kw.get("orthog", False))
-            el.log = bool(kw.get("log", False))
-            el.event = bool(kw.get("event", False))
+            el.orthog = parse_flag("orthog", kw.get("orthog", False))
+            el.log = parse_flag("log", kw.get("log", False))
+            el.event = parse_flag("event", kw.get("event", False))
             return el
         if fn == "fp":
             if len(pos) != 1 or "powers" not in kw:

@@ -216,8 +216,12 @@ RI_SPEC = "levels = id\ngaussian : y ~ x + M1[id]*1"
      "df expects an integer, got 'two'"),
     ("levels = id\ngaussian : y ~ rcs(x, df = 2.5) + M1[id]*1", [],
      "df expects an integer, got 2.5"),
+    ("levels = id\ngaussian : y ~ rcs(x, df = 2, log = no) + M1[id]*1", [],
+     "log expects TRUE or FALSE, got 'no'"),
+    ("levels = id\ngaussian : y ~ rcs(x, df = 2, orthog = 2) + M1[id]*1", [],
+     "orthog expects TRUE or FALSE, got 2.0"),
 ], ids=["intmethod-foo", "ip-0", "ip-300", "halton-ip-1", "spec-ip-abc", "noconstant-yes",
-        "df-two", "df-2.5"])
+        "df-two", "df-2.5", "rcs-log-no", "rcs-orthog-2"])
 def test_bad_integration_or_spec_number_exits_2(spec, flags, bad, lmm_csv, tmp_path, capsys):
     argv = ["fit", "--inline", spec, *flags, "--data", lmm_csv, "--out", str(tmp_path / "out")]
     assert run(argv) == 2

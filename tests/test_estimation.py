@@ -15,6 +15,7 @@ from jointfit.evaluator import Evaluator
 from jointfit.userfam import logl_gaussian, register_user_family
 
 from conftest import fit_spec, make_dataset, sim_lmm, sim_weibull
+from test_batch import _glmm_data
 from test_reduction import TWO_LEVEL_SPEC, no_level_data, two_level_data
 
 
@@ -327,22 +328,16 @@ def _gaussian_xy(sd, n=200, seed=0):
 
 
 def _hessian_points(monkeypatch):
-    """Fit hook: the engine points each central_hessian call adds."""
-    engines, counts = [], []
-    init, hessian = LikelihoodEngine.__init__, estimation.central_hessian
+    """Fit hook: the engine points each _vcov call adds."""
+    counts, vcov = [], estimation._vcov
 
-    def recorded_init(self, *args, **kwargs):
-        engines.append(self)
-        init(self, *args, **kwargs)
+    def counted(engine, xhat):
+        before = engine.points
+        out = vcov(engine, xhat)
+        counts.append(engine.points - before)
+        return out
 
-    def counted(f, x, step_scale):
-        before = engines[-1].points
-        H = hessian(f, x, step_scale)
-        counts.append(engines[-1].points - before)
-        return H
-
-    monkeypatch.setattr(LikelihoodEngine, "__init__", recorded_init)
-    monkeypatch.setattr(estimation, "central_hessian", counted)
+    monkeypatch.setattr(estimation, "_vcov", counted)
     return counts
 
 
@@ -394,29 +389,42 @@ class TestHessian:
         H[:2, 2] = H[2, :2] = 2.0 * X.T @ r / s2
         H[2, 2] = 2.0 * r @ r / s2
         want = np.sqrt(np.diag(np.linalg.inv(H)))
-        assert np.max(np.abs(fit.std_errors() / want - 1.0)) < 1e-7
+        assert np.max(np.abs(fit.std_errors() / want - 1.0)) < 1e-10
 
     def test_point_count(self, monkeypatch):
+        # a model whose row scores are all analytic, with at most one level,
+        # inverts the exact information and evaluates no grid point; rp rows
+        # and a second level keep the p^2 + p + 1 point grid
         counts = _hessian_points(monkeypatch)
-        fit = fit_spec("weibull : Surv(t, d) ~ x",
-                       sim_weibull(200, lam=0.1, gamma=1.4, beta=0.5, seed=7, cens_rate=0.1))
-        p = len(fit.estimates)
-        assert counts == [p * p + p + 1]
+        surv = sim_weibull(200, lam=0.1, gamma=1.4, beta=0.5, seed=7, cens_rate=0.1)
+        want = []
+        for spec, data, grid in [
+                ("weibull : Surv(t, d) ~ x", surv, False),
+                ("rp : Surv(t, d) ~ x + rcs(t, df = 2, log = TRUE) | timevar=t", surv, True),
+                ("levels = p,id\nip = 5\npoisson : yc ~ x + M1[p]*1 + M2[id]:x*1\n",
+                 _glmm_data(("p", "id")), True)]:
+            p = len(fit_spec(spec, data).estimates)
+            want.append(p * p + p + 1 if grid else 0)
+        assert counts == want == [0, 21, 21]
 
     def test_debug_record(self, caplog):
         _, _, d = _gaussian_xy(0.5)
-        with caplog.at_level(logging.DEBUG, logger="jointfit.estimation"):
-            fit = fit_spec("gaussian : y ~ x", d)
-        records = [r.getMessage() for r in caplog.records
-                   if r.name == "jointfit.estimation" and r.getMessage().startswith("Hessian")]
-        assert len(records) == 1
-        m = re.fullmatch(r"Hessian: (\d+) points, smallest eigenvalue (\S+), "
-                         r"condition number (\S+)", records[0])
-        assert m, records[0]
-        eig = np.linalg.eigvalsh(np.linalg.inv(fit.vcov))
-        assert int(m[1]) == 3 * 3 + 3 + 1
-        assert float(m[2]) == pytest.approx(eig[0], rel=1e-5)
-        assert float(m[3]) == pytest.approx(eig[-1] / eig[0], rel=1e-5)
+        for spec, source in [("gaussian : y ~ x", "exact information, 200 clusters"),
+                             ("user : y ~ x + ap(1) | userf=logl_gaussian",
+                              f"{3 * 3 + 3 + 1} points")]:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="jointfit.estimation"):
+                fit = fit_spec(spec, d)
+            records = [r.getMessage() for r in caplog.records
+                       if r.name == "jointfit.estimation" and r.getMessage().startswith("Hessian")]
+            assert len(records) == 1
+            m = re.fullmatch(r"Hessian: (.+), smallest eigenvalue (\S+), "
+                             r"condition number (\S+)", records[0])
+            assert m, records[0]
+            eig = np.linalg.eigvalsh(np.linalg.inv(fit.vcov))
+            assert m[1] == source
+            assert float(m[2]) == pytest.approx(eig[0], rel=1e-5)
+            assert float(m[3]) == pytest.approx(eig[-1] / eig[0], rel=1e-5)
 
     def test_penalized_point_gives_no_vcov(self):
         # log L is -inf for _ap1 (log sd) more than 5e-5 below its MLE, so
@@ -443,15 +451,43 @@ class TestHessian:
         (-np.eye(3), "non-positive variance of x, _cons, log_sd"),
     ])
     def test_unusable_hessian_warns(self, monkeypatch, hessian, reason):
-        def fake(f, x, step_scale):
+        # the same reasons from the exact information and from the grid,
+        # which the model keeps when its rows are differenced
+        seen = []
+
+        def information(self, x):
+            seen.append("information")
+            return hessian
+
+        def grid(f, x, step_scale):
+            seen.append("grid")
             f(x[None, :])
             return hessian
 
-        monkeypatch.setattr(estimation, "central_hessian", fake)
+        monkeypatch.setattr(LikelihoodEngine, "information", information)
+        monkeypatch.setattr(estimation, "central_hessian", grid)
         _, _, d = _gaussian_xy(0.5)
-        with pytest.warns(RuntimeWarning, match=re.escape(reason)):
+        eig = r".* \(smallest eigenvalue -1\)$" if hessian[0, 0] < 0 else ""
+        for differenced in (False, True):
+            if differenced:
+                monkeypatch.setattr(LikelihoodEngine, "_analytic", lambda self, i: False)
+            with pytest.warns(RuntimeWarning, match=re.escape(reason) + eig):
+                fit = fit_spec("gaussian : y ~ x", d)
+            assert fit.vcov is None
+        assert seen == ["information", "grid"]
+
+    def test_information_not_finite_warns_without_the_grid(self, monkeypatch):
+        def no_grid(f, x, step_scale):
+            raise AssertionError("the grid is not a fallback of the exact information")
+
+        monkeypatch.setattr(estimation, "central_hessian", no_grid)
+        monkeypatch.setattr(LikelihoodEngine, "information",
+                            lambda self, x: np.full((len(x), len(x)), np.nan))
+        _, _, d = _gaussian_xy(0.5)
+        with pytest.warns(RuntimeWarning, match="no standard errors: the information is not "
+                                                "finite at the estimates"):
             fit = fit_spec("gaussian : y ~ x", d)
-        assert fit.vcov is None
+        assert fit.converged and fit.vcov is None
 
 
 class TestStartValues:

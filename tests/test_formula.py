@@ -43,6 +43,20 @@ class TestParseElement:
         el = parse_element("rcs(stime, df = 3, log = TRUE, event = TRUE)")
         assert el.log and el.event
 
+    @pytest.mark.parametrize("text, on", [("TRUE", True), ("T", True), ("true", True), ("1", True),
+                                          ("FALSE", False), ("F", False), ("false", False),
+                                          ("0", False)])
+    def test_rcs_flag_words(self, text, on):
+        el = parse_element(f"rcs(t, df = 2, orthog = {text}, log = {text}, event = {text})")
+        assert el.orthog == el.log == el.event == on
+
+    @pytest.mark.parametrize("key", ["orthog", "log", "event"])
+    @pytest.mark.parametrize("text, shown", [("no", "'no'"), ("yes", "'yes'"), ("2", "2.0"),
+                                             ("c(1)", r"\(1.0,\)")])
+    def test_rcs_flag_rejects_other_values(self, key, text, shown):
+        with pytest.raises(jf.ParseError, match=rf"^{key} expects TRUE or FALSE, got {shown}$"):
+            parse_element(f"rcs(t, df = 2, {key} = {text})")
+
     def test_rcs_knots(self):
         el = parse_element("rcs(x, knots = c(1, 2.5, 7))")
         assert el.knots == (1.0, 2.5, 7.0)
