@@ -19,17 +19,9 @@ unit one level down (a row at the lowest level, a lower-level cluster
 above it).  A single np.bincount over flattened (label, node) indices sums
 each cluster's units, adding in unit order from 0 as a scatter-add would,
 and a weighted log-sum-exp over the level's nodes integrates the cluster.
-A model without levels has a one-node grid and no reduction step.
-
-The engine evaluates a (B, p) matrix of parameter points in one pass, laid
-side by side on the node axis: column b * nq + j holds point b at node j,
-the draws of each point are its own, and the evaluator receives the
-parameters in column form (p, B * nq), where each parameter is a row that
-broadcasts like a draw (one point goes as its vector).  The reduction
-keeps the points apart and each point's total is a sum over a contiguous
-row of its cluster values, so every value has the bits of the same point
-evaluated alone.  A batch is split so that chunk rows x points x nq stays
-within the same PASS_DOUBLES.
+A model without levels has a one-node grid and no reduction step.  Every
+evaluation is of one parameter point (p,); a (B, p) matrix of points is
+evaluated one point at a time.
 
 The optimizer is BFGS, whose gradient is the engine's score: the
 derivative of a cluster's log-likelihood is the posterior-weighted sum of
@@ -59,8 +51,7 @@ from one pass over the chunks at the estimates.  Every other model (rows
 differenced centrally, or two or more levels) keeps the Hessian of
 symmetric second differences, whose p^2 + p + 1 points are f at the
 estimates, one step either way on each axis and one step either way on
-each pair of axes; they go to the engine in one call, and the line search
-evaluates one point at a time.
+each pair of axes.
 """
 
 import json
@@ -80,7 +71,7 @@ from .quadrature import CovarianceParam, NodeSet, integrate_to, level_nodes, tra
 
 log = logging.getLogger(__name__)
 
-# values of one likelihood pass, chunk rows x points x nq (256 KB).  On
+# values of one chunk's likelihood pass, chunk rows x nq (256 KB).  On
 # shared_re (ip = 35, 2 vCPUs), 2^16 made one chunk and eval_ms 8 % worse;
 # 2^13 made 234-row chunks and the fit 8 % slower.
 PASS_DOUBLES = 2**15
@@ -144,8 +135,6 @@ class LikelihoodEngine:
         for ns, idx in zip(self.node_sets, self._grid_idx):
             self.weights = self.weights * ns.weights[idx]
         self._build_chunks()
-        rows = max((len(c["rows"]) for c in self.chunks), default=1)
-        self.batch = max(1, PASS_DOUBLES // (rows * self.nq))
         self.deps = self._dependencies()
         self.analytic = [self._analytic(i) for i in range(len(self.deps))]
         # the standard errors invert the exact information, not the grid
@@ -153,9 +142,11 @@ class LikelihoodEngine:
         # total_loglik calls and points, score calls, and gradients that
         # fell back to central differences of the whole likelihood, so far
         self.calls = self.points = self.scores = self.fallbacks = 0
-        log.debug("engine: %d chunks, at most %d rows, %d nodes, %d points per pass; "
-                  "analytic scores: %s", len(self.chunks), rows, self.nq, self.batch,
-                  ", ".join(str(i + 1) for i, a in enumerate(self.analytic) if a) or "none")
+        log.debug("engine: %d chunks, at most %d rows, %d nodes; analytic scores: %s; "
+                  "Hessian: %s", len(self.chunks),
+                  max((len(c["rows"]) for c in self.chunks), default=0), self.nq,
+                  ", ".join(str(i + 1) for i, a in enumerate(self.analytic) if a) or "none",
+                  "exact information" if self.exact_information else "grid")
 
     # -- chunk partition (bounds a pass's memory; one frame per submodel) --
 
@@ -238,17 +229,20 @@ class LikelihoodEngine:
 
     def _predictor_params(self, i) -> set[int]:
         """The parameters of submodel i's predictor: its coefficients, the
-        covariance parameters of every level whose random effects it uses,
-        and those of its link targets' predictors (a target's mean is a
-        function of its predictor, so its ancillaries do not reach the
-        link)."""
+        log_sd of each random effect it uses and the correlation parameters
+        of that effect's level (b = diag(exp(log_sd)) chol(C) z, so b_k
+        depends on its own log_sd and the correlations only), and those of
+        its link targets' predictors (a target's mean is a function of its
+        predictor, so its ancillaries do not reach the link)."""
         layout, out = self.ev.layout, set()
         for col in self.ev.subs[i].columns:
             if col.param is not None:
                 out.add(col.param)
             for level, names in self.spec.re_layout.items():
-                if set(col.re_names) & set(names):
-                    out.update(layout.level_log_sd[level] + layout.level_corr[level])
+                mine = [name for name in col.re_names if name in names]
+                if mine:
+                    out.update([layout.log_sd_of[name] for name in mine]
+                               + layout.level_corr[level])
             for el, _ in col.factors:
                 if el.kind == "link":
                     out |= self._predictor_params(el.target_index)
@@ -266,23 +260,19 @@ class LikelihoodEngine:
         return out
 
     def draws(self, params) -> dict[str, np.ndarray]:
-        """Random-effect draw columns on the full cross-level grid, nq per
-        point: for a (B, p) matrix of points, B grids side by side, so that
-        column b * nq + j holds point b at node j."""
+        """Random-effect draws of one point (p,) on the full cross-level
+        grid, (nq,) per random effect."""
         out = {}
-        if not self.spec.levels:
-            return out
-        for x in np.atleast_2d(params):
-            covs = self.covariance_params(x)
-            for k, level in enumerate(self.spec.levels):
-                names = self.spec.re_layout[level]
-                if not names:
-                    continue
-                b = transform_nodes(self.node_sets[k], covs[level])  # (q_k, d)
-                self.projection_warned |= covs[level].warned
-                for j, name in enumerate(names):
-                    out.setdefault(name, []).append(b[self._grid_idx[k], j])
-        return {name: np.concatenate(cols) for name, cols in out.items()}
+        covs = self.covariance_params(params)
+        for k, level in enumerate(self.spec.levels):
+            names = self.spec.re_layout[level]
+            if not names:
+                continue
+            b = transform_nodes(self.node_sets[k], covs[level])  # (q_k, d)
+            self.projection_warned |= covs[level].warned
+            for j, name in enumerate(names):
+                out[name] = b[self._grid_idx[k], j]
+        return out
 
     def zero_draws(self) -> dict[str, np.ndarray]:
         out = {}
@@ -294,53 +284,39 @@ class LikelihoodEngine:
     # -- likelihood --------------------------------------------------------
 
     def _chunk_loglik(self, chunk_id, params, draws) -> np.ndarray:
-        """Per-top-cluster log-likelihood values for one chunk, of one
-        point (p,) or of B points in column form (p, B * nq).  One point's
-        reduction is kept, by reference, with the point's bytes, for a
-        score at the same point."""
+        """Per-top-cluster log-likelihood values for one chunk at one point
+        (p,).  The reduction is kept, by reference, with the point's bytes,
+        for a score at the same point."""
         chunk = self.chunks[chunk_id]
-        cur = self._row_sums(chunk, params, draws)
-        if params.ndim == 2:
-            return self._reduce(chunk, cur, batch=True)
         levels = []
-        cur = self._reduce(chunk, cur, levels=levels)
+        cur = self._reduce(chunk, self._row_sums(chunk, params, draws), levels)
         chunk["kept"] = (params.tobytes(), levels)
         return cur
 
     def _row_sums(self, chunk, params, draws) -> np.ndarray:
-        """The submodels' contributions summed per chunk row, (n, nq) for
-        one point, (n, B * nq) for B points in column form."""
-        cur = np.zeros((len(chunk["rows"]), params.shape[1] if params.ndim == 2 else self.nq))
+        """The submodels' contributions summed per chunk row, (n, nq)."""
+        cur = np.zeros((len(chunk["rows"]), self.nq))
         for i, (local, at) in enumerate(chunk["subs"]):
             if len(local):  # a submodel's chunk positions are unique
                 cur[local] += self.ev.loglik_matrix(params, i, draws, at)
         return cur
 
-    def _reduce(self, chunk, cur, batch=False, levels=None) -> np.ndarray:
-        """Per-top-cluster log-likelihoods from a chunk's row sums:
-        (n_top_clusters_in_chunk,), or (n_top_clusters_in_chunk, B) for a
-        batch.  For one point, levels (a list) receives each level's
-        cluster sums at every node and cluster log-likelihoods, top level
-        first."""
+    def _reduce(self, chunk, cur, levels) -> np.ndarray:
+        """Per-top-cluster log-likelihoods (n_top_clusters_in_chunk,) from a
+        chunk's row sums; levels (a list) receives each level's cluster
+        sums at every node and cluster log-likelihoods, top level first."""
         # nested reduction, lowest level inward: sum each cluster's units,
-        # then integrate the cluster over the level's nodes; a batch keeps
-        # its points apart on an axis of their own
-        cur = cur.reshape((len(cur),) + ((-1,) if batch else ()) + self._level_counts)
+        # then integrate the cluster over the level's nodes
+        cur = cur.reshape((len(cur),) + self._level_counts)
         for k in reversed(range(len(self.node_sets))):
-            if batch:
-                width = int(np.prod(cur.shape[1:]))
-                idx = (chunk["labels"][k][:, None] * width + np.arange(width)).ravel()
-            else:
-                idx = chunk["index"][k]
-            agg = np.bincount(idx, weights=cur.ravel())
+            agg = np.bincount(chunk["index"][k], weights=cur.ravel())
             agg = agg.reshape((-1,) + cur.shape[1:])
             w = self.node_sets[k].weights
             mx = np.max(agg, axis=-1, keepdims=True)
             mx_safe = np.where(np.isfinite(mx), mx, 0.0)
             with np.errstate(divide="ignore"):
                 cur = np.log(np.sum(np.exp(agg - mx_safe) * w, axis=-1)) + mx_safe[..., 0]
-            if levels is not None:
-                levels.insert(0, (agg, cur))
+            levels.insert(0, (agg, cur))
         return cur
 
     def _node_weights(self, chunk, levels):
@@ -356,45 +332,33 @@ class LikelihoodEngine:
             W = post if k == 0 else post * W[chunk["labels"][k - 1]][..., None]
         return W.reshape(-1, self.nq), chunk["labels"][-1]
 
-    def _columns(self, points):
-        """The draws and the evaluator's parameters of a (B, p) matrix of
-        points: one point as its vector, whose entries broadcast over the
-        nodes like scalars, B > 1 points in column form."""
-        params = points[0] if len(points) == 1 else np.repeat(points.T, self.nq, axis=1)
-        return self.draws(points), params
-
-    def _pass(self, points) -> np.ndarray:
-        """(B, n_clusters) log-likelihoods of a (B, p) matrix of points in
-        one pass, a contiguous row per point."""
-        draws, params = self._columns(points)
-        parts = [self._chunk_loglik(c, params, draws) for c in range(len(self.chunks))]
-        ll = np.concatenate(parts) if parts else np.zeros(0)
-        return np.ascontiguousarray(ll.reshape(-1, len(points)).T)
-
-    def _passes(self, points):
-        """_pass of each run of self.batch rows of a (B, p) matrix."""
-        for s in range(0, len(points), self.batch):
-            yield self._pass(points[s:s + self.batch])
+    def _pass(self, x) -> np.ndarray:
+        """(n_clusters,) log-likelihoods of one point x (p,), chunk by
+        chunk."""
+        draws = self.draws(x)
+        parts = [self._chunk_loglik(c, x, draws) for c in range(len(self.chunks))]
+        return np.concatenate(parts) if parts else np.zeros(0)
 
     def cluster_logliks(self, params) -> np.ndarray:
         """Per-top-cluster log-likelihoods: (n_clusters,) for one point
-        (p,), (n_clusters, B) for a (B, p) matrix of points."""
+        (p,), (n_clusters, B) for a (B, p) matrix of points, one point at a
+        time."""
         params = np.asarray(params, dtype=float)
         if params.ndim == 1:
-            return self._pass(params[None])[0]
-        return np.vstack(list(self._passes(params))).T
+            return self._pass(params)
+        return np.column_stack([self._pass(x) for x in params])
 
     def total_loglik(self, params):
         """The marginal log-likelihood of one point (p,), a float, or of
-        each row of a (B, p) matrix of points, an array (B,)."""
+        each row of a (B, p) matrix of points, an array (B,), one point at
+        a time."""
         params = np.asarray(params, dtype=float)
         self.calls += 1
-        self.points += len(params) if params.ndim == 2 else 1
         if params.ndim == 1:
-            return float(np.sum(self._pass(params[None])[0]))
-        # each point's total is a sum over its contiguous row, as for one
-        # point; a pass at a time, so no more than a pass is held
-        return np.concatenate([np.sum(ll, axis=1) for ll in self._passes(params)])
+            self.points += 1
+            return float(np.sum(self._pass(params)))
+        self.points += len(params)
+        return np.asarray([np.sum(self._pass(x)) for x in params])
 
     def score(self, x) -> np.ndarray:
         """The gradient of log L at one point x (p,): the posterior-weighted
@@ -407,9 +371,9 @@ class LikelihoodEngine:
         cumulative hazard's nodes, and the family's derivative kernels
         (_analytic_rows).  Every other submodel's rows are differenced
         centrally, with the steps of central_gradient, in the parameters it
-        depends on only; each side is contracted with the weights over the
-        nodes, one chunk at a time in passes of self.batch points, before
-        the two are differenced.
+        depends on only; each side point is evaluated with its own draws,
+        one at a time on each chunk, and contracted with the weights over
+        the nodes before the two sides are differenced.
         Nodes of weight 0 contribute 0.  The row scores are summed per
         top-level cluster and then over all clusters at once, so the result
         does not depend on the chunk partition.  NaN where it is not finite,
@@ -431,24 +395,20 @@ class LikelihoodEngine:
                         rows[np.ix_(local, deps)] += self._analytic_rows(
                             i, x, xdraws, at, W[unit[local]], deps)
                 continue
-            side_points = points[(2 * deps[:, None] + np.arange(2)).ravel()]
-            passes = [self._columns(side_points[s:s + self.batch])
-                      for s in range(0, len(side_points), self.batch)]
+            sides = [(p, self.draws(p)) for p in points[(2 * deps[:, None] + np.arange(2)).ravel()]]
             for chunk, (W, unit), rows in zip(self.chunks, weights, S):
                 local, at = chunk["subs"][i]
-                if not (len(local) and passes):
+                if not len(local):
                     continue
-                Wl = W[unit[local]][:, None, :]
+                Wl = W[unit[local]]
                 # a node of weight 0 may be -inf on either side
                 zero = None if np.all(Wl) else Wl == 0
-                sides = []
-                for draws, params in passes:
-                    ll = self.ev.loglik_matrix(params, i, draws, at)
-                    ll = ll.reshape(len(local), -1, W.shape[1])  # (rows, points, nodes)
+                side = np.empty((len(local), len(sides)))
+                for b, (p, draws) in enumerate(sides):
+                    ll = self.ev.loglik_matrix(p, i, draws, at)
                     if zero is not None:
                         ll = np.where(zero, 0.0, ll)
-                    sides.append(np.sum(ll * Wl, axis=-1))
-                side = np.hstack(sides)
+                    side[:, b] = np.sum(ll * Wl, axis=-1)
                 rows[np.ix_(local, deps)] += (side[:, 0::2] - side[:, 1::2]) / (2.0 * h[deps])
         clusters = [np.bincount((chunk["top"][:, None] * n + np.arange(n)).ravel(),
                                 weights=rows.ravel()).reshape(-1, n)
@@ -464,7 +424,7 @@ class LikelihoodEngine:
             kept_key, levels = chunk.get("kept", (None, None))
             if kept_key != key:
                 levels = []
-                self._reduce(chunk, self._row_sums(chunk, x, xdraws), levels=levels)
+                self._reduce(chunk, self._row_sums(chunk, x, xdraws), levels)
             weights.append(self._node_weights(chunk, levels))
         return weights
 
@@ -630,10 +590,9 @@ def _louis_rows(d_eta, d2_eta, Wl, dl, dll, dla, daa, dap, deps, ap_idx) -> np.n
     row-major order the weighted node sum sum_q Wl d2 l/d theta_a
     d theta_b, from the kernel's d2l/deta2 (dll, None for 0), d2l/deta dap
     (dla, None for 0) and d2l/dap dap' (daa, by ancillary pair), and the
-    predictor's d eta and d2 eta from eta_gradient.  A parameter of deps
-    that reaches no column (the log_sd of a level's other random effect)
-    has derivatives 0.  A node of weight 0 has node scores 0 and
-    contributes 0, though a kernel may be inf or nan there."""
+    predictor's d eta and d2 eta from eta_gradient.  A node of weight 0 has
+    node scores 0 and contributes 0, though a kernel may be inf or nan
+    there."""
     zero = None if np.all(Wl) else Wl == 0
     rows, nq, m = Wl.shape[0], Wl.shape[1], len(deps)
     out = np.zeros((rows, m * nq + m * (m + 1) // 2))
@@ -749,21 +708,18 @@ HESS_STEP = 1e-4   # relative step of the Hessian's second differences, O(h^2):
 
 def _neg_loglik(engine, params):
     """-log L of one point (p,), or of each row of a (B, p) matrix of
-    points; _BIG where log L is not finite or the point cannot be
-    evaluated.  A batch that raises is evaluated again one point at a time,
-    so that only the points that raise get _BIG."""
+    points, one point at a time; _BIG where log L is not finite or the
+    point cannot be evaluated."""
+    if np.ndim(params) == 2:
+        return np.asarray([_neg_loglik(engine, x) for x in params])
     try:
         # overflow at a rejected line-search point is handled by the
         # finiteness check below, not worth a warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             ll = engine.total_loglik(params)
     except (FloatingPointError, ValueError):
-        if np.ndim(params) == 1:
-            return _BIG
-        return np.asarray([_neg_loglik(engine, x) for x in params])
-    if np.ndim(params) == 1:
-        return -ll if np.isfinite(ll) else _BIG
-    return np.where(np.isfinite(ll), -ll, _BIG)
+        return _BIG
+    return -ll if np.isfinite(ll) else _BIG
 
 
 def _gradient_points(x, step_scale):

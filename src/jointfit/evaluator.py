@@ -12,11 +12,9 @@ keeps basis columns and the time variable per element and order and,
 except on a node block, each column's static values; link values depend
 on the parameters and are never kept.  A transient frame keeps nothing.
 
-Parameters come as a vector (p,), one point, or in column form (p, W):
-column c holds the parameters of the point that node column c belongs to,
-so that the likelihood engine can evaluate a batch of points side by side
-on the node axis.  params[k] is then a scalar or a row that broadcasts like
-a draw, and every result has W columns.
+Parameters come as a vector (p,), one point; random-effect draws as one
+(nq,) array per random effect, and every result has nq columns (1 without
+draws).
 """
 
 from dataclasses import dataclass, field
@@ -41,11 +39,10 @@ class EvalError(ValueError):
     pass
 
 
-def node_width(params, draws):
-    """Node columns of an evaluation: the width of a parameter row (1 for a
-    vector) or of the draws (nq), whichever is wider."""
-    width = params.shape[1] if params.ndim == 2 else 1
-    return max(width, len(next(iter(draws.values())))) if draws else width
+def node_width(draws):
+    """Node columns of an evaluation: the length of the draws (nq), 1
+    without them."""
+    return len(next(iter(draws.values()))) if draws else 1
 
 
 def _column(values, bi):
@@ -318,7 +315,7 @@ class Evaluator:
                 total = -1
             else:
                 return integrate_to(lambda fr: raw(_NUM_ORDER[base], fr),
-                                    at, TIME_GL_POINTS, node_width(params, draws))
+                                    at, TIME_GL_POINTS, node_width(draws))
         return raw(_NUM_ORDER[total])
 
     def eta(self, params, sub_idx, at: Frame, draws, order="value"):
@@ -328,7 +325,7 @@ class Evaluator:
         Each time-varying element is evaluated once per call, for every
         column that uses it; a kept frame keeps the values that do not
         depend on the parameters for later calls."""
-        nq = node_width(params, draws)
+        nq = node_width(draws)
         acc = np.zeros((len(at.rows), nq))
         for col, _, v in self._column_values(params, sub_idx, at, draws, nq, order, {}):
             coef = 1.0 if col.param is None else params[col.param]
@@ -352,7 +349,7 @@ class Evaluator:
 
         With second, also the nonzero d2 eta / d theta d theta', by
         parameter pair (k, l), k <= l (_column_hessian)."""
-        nq = node_width(params, draws)
+        nq = node_width(draws)
         calls: dict[tuple[int, str], np.ndarray] = {}
         # id(link element) -> (eta_target gradient, dmu/deta or None, and with
         # second eta_target's second derivatives and d2mu/deta2 or None)
@@ -528,7 +525,7 @@ class Evaluator:
         if order == "integral":
             return integrate_to(
                 lambda fr: self.expval(params, sub_idx, fr, draws, "value"),
-                at, TIME_GL_POINTS, node_width(params, draws))
+                at, TIME_GL_POINTS, node_width(draws))
         ev = self.eta(params, sub_idx, at, draws, "value")
         if order == "value":
             return families.mean_value(fam, ev)
@@ -574,7 +571,7 @@ class Evaluator:
         rp = families.FAMILIES[sub.family].log_hazard is None
         if not (rp or self.closed_form_cumhazard(sub_idx)):
             return integrate_to(lambda fr: self.hazard(params, sub_idx, fr, draws),
-                                at, TIME_GL_POINTS, node_width(params, draws))
+                                at, TIME_GL_POINTS, node_width(draws))
         if ev is None:
             ev = self.eta(params, sub_idx, at, draws, "value")
         if rp:
@@ -639,18 +636,9 @@ class Evaluator:
         return np.where(np.isnan(ll), -np.inf, ll)
 
     def _user_loglik(self, params, sub_idx, at, draws):
-        """A user family's contributions, one point at a time: a context
-        gives ancillaries as floats, so each run of equal parameter columns
-        (one point of a batch) gets a context of its parameter vector and
-        its draws."""
+        """A user family's contributions, (n, nq), from a context of the
+        point and its draws."""
         fn = get_user_family(self.spec.submodels[sub_idx].userf)
-        width = node_width(params, draws)
-        cols = np.asarray(params, dtype=float)
-        cols = cols if cols.ndim == 2 else cols[:, None]
-        cuts = [0, *(np.flatnonzero(np.any(cols[:, 1:] != cols[:, :-1], axis=0)) + 1), width]
-        out = np.empty((len(at.rows), width))
-        for s, e in zip(cuts[:-1], cuts[1:]):
-            point = {name: d[s:e] for name, d in draws.items()} if draws else draws
-            ctx = UserFamilyContext(self, cols[:, s], sub_idx, at, point)
-            out[:, s:e] = np.asarray(fn(ctx))
+        out = np.empty((len(at.rows), node_width(draws)))
+        out[:] = fn(UserFamilyContext(self, params, sub_idx, at, draws))
         return out

@@ -16,10 +16,8 @@ second-derivative kernels, for the engine's observed information:
 loglik_d2, log_hazard_d2 and cumhazard_d2.  A second derivative in the
 ancillaries ap[k], ap[m] is given for each pair k <= m, in row-major order.
 
-Every kernel is elementwise.  An ancillary ap[k] is a scalar for one
-parameter point or a row of one value per node column for a batch of
-points (see estimation.LikelihoodEngine), and times come as a column
-t (n, 1), so either broadcasts against eta (n, nq).
+Every kernel is elementwise.  An ancillary ap[k] is a scalar and times
+come as a column t (n, 1), so both broadcast against eta (n, nq).
 """
 
 from dataclasses import dataclass

@@ -98,13 +98,13 @@ def cif(model: FittedModel, cause: int, at, draws, causes) -> np.ndarray:
     return integrate_to(
         lambda fr: model.ev.hazard(model.params, cause, fr, draws)
         * np.exp(-_total_cumhazard(model, fr, draws, causes)),
-        at, CIF_GL_POINTS, node_width(model.params, draws))
+        at, CIF_GL_POINTS, node_width(draws))
 
 
 def timelost(model: FittedModel, cause: int, at, draws, causes) -> np.ndarray:
     """Integral of the cause's CIF over (0, at.t] by nested quadrature."""
     return integrate_to(lambda fr: cif(model, cause, fr, draws, causes),
-                        at, CIF_GL_POINTS, node_width(model.params, draws))
+                        at, CIF_GL_POINTS, node_width(draws))
 
 
 def totaltimelost(model: FittedModel, at, draws, causes) -> np.ndarray:
@@ -112,7 +112,7 @@ def totaltimelost(model: FittedModel, at, draws, causes) -> np.ndarray:
     sum of the causes' timelost in one integral instead of nested ones."""
     return integrate_to(
         lambda fr: -np.expm1(-_total_cumhazard(model, fr, draws, causes)),
-        at, CIF_GL_POINTS, node_width(model.params, draws))
+        at, CIF_GL_POINTS, node_width(draws))
 
 
 def _stat_matrix(model: FittedModel, req: PredictRequest, at, draws) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Batched likelihood evaluation and finite-difference derivatives.
+"""Likelihood evaluation of a matrix of points and finite-difference
+derivatives.
 
-LikelihoodEngine.total_loglik takes a (B, p) matrix of parameter points and
-evaluates them side by side on the node axis.  Each batched value must have
-the bits of the same point evaluated alone, and the batched central
-differences the bits of the per-point loops below, which they replaced.
+LikelihoodEngine.total_loglik and cluster_logliks take a (B, p) matrix of
+parameter points and evaluate it one point at a time.  Each value must have
+the bits of the same point evaluated alone, and the central differences of
+a matrix the bits of the per-point loops below.
 """
 
 import logging
@@ -101,7 +102,7 @@ def _glmm_data(levels=("id",)):
 
 
 # name: spec, data, parameters (None: start values), and a function that
-# sets special values in some rows of the batch
+# sets special values in some of the points
 MODELS = {
     "ev_rcs": (JOINT_SPEC, lambda: joint_data(n_clusters=70), JOINT_PARAMS, None),
     "shared_re": ("levels = id\nip = 35\n"
@@ -187,16 +188,6 @@ def test_batch_matches_one_point_evaluations(monkeypatch, name):
     assert cl.shape == (batched.n_clusters, len(P))
     for b, x in enumerate(P):
         assert np.array_equal(cl[:, b], single.cluster_logliks(x))
-
-
-@pytest.mark.parametrize("name", ["ev_rcs", "no_levels_2_chunks", "two_level_shuffled"])
-@pytest.mark.parametrize("per_pass", [1, 4])
-def test_split_batches_match(monkeypatch, name, per_pass):
-    spec_text, data = _model(monkeypatch, name)
-    whole, split = _engine(spec_text, data), _engine(spec_text, data)
-    P = _points(name, whole, n_points=9)
-    whole.batch, split.batch = len(P), per_pass
-    assert np.array_equal(split.total_loglik(P), whole.total_loglik(P))
 
 
 @pytest.mark.parametrize("name", ["ev_rcs", "user"])

@@ -174,8 +174,6 @@ class TestChunks:
                     assert (len(rows) + size[nxt[0]]) * eng.nq > budget
                 if not levels:
                     assert np.array_equal(rows, np.arange(rows[0], rows[-1] + 1))
-            rows = max(len(r) for r in chunks)
-            assert eng.batch == max(1, budget // (rows * eng.nq))
         # the smallest budget gives one cluster per chunk, the largest one
         # chunk
         monkeypatch.setattr(estimation, "PASS_DOUBLES", budgets[0])
@@ -191,12 +189,12 @@ class TestChunks:
                        sim_weibull(300, lam=0.1, gamma=1.4, beta=0.5, seed=2))
         records = [r.getMessage() for r in caplog.records if r.name == "jointfit.estimation"]
         assert records == [
-            "engine: 2 chunks, at most 144 rows, 225 nodes, 1 points per pass; "
-            "analytic scores: 1",
-            "engine: 1 chunks, at most 5000 rows, 1 nodes, 6 points per pass; "
-            "analytic scores: 1",
-            "engine: 1 chunks, at most 300 rows, 1 nodes, 109 points per pass; "
-            "analytic scores: none"]
+            "engine: 2 chunks, at most 144 rows, 225 nodes; analytic scores: 1; "
+            "Hessian: grid",
+            "engine: 1 chunks, at most 5000 rows, 1 nodes; analytic scores: 1; "
+            "Hessian: exact information",
+            "engine: 1 chunks, at most 300 rows, 1 nodes; analytic scores: none; "
+            "Hessian: grid"]
 
 
 class TestMaximize:

@@ -17,6 +17,7 @@ from jointfit.evaluator import Evaluator
 from jointfit.prediction import FittedModel, PredictRequest, predict_stat
 from jointfit.quadrature import Frame
 
+import test_batch
 from conftest import make_dataset
 from test_time_blocks import FP_PARAMS, FP_SPEC, JOINT_PARAMS, JOINT_SPEC, fp_data, joint_data
 
@@ -79,6 +80,29 @@ def test_nested_integral_keeps_one_level_of_node_blocks():
     for fr in blocks:
         assert not any(isinstance(v, Frame) for v in fr.kept.values())
         assert not any(k[0] == "static" for k in fr.kept)
+
+
+def test_a_matrix_of_points_keeps_the_node_blocks_of_one_point():
+    # the EV[y] hazard's cumulative hazard integrates over node blocks that
+    # its chunks' kept frames keep
+    spec_text, make_data, _, _ = test_batch.MODELS["ev_rcs"]
+    eng = test_batch._engine(spec_text, make_data())
+    P = test_batch._points("ev_rcs", eng, n_points=20)
+
+    def node_blocks():
+        # each kept node block's key and the bytes of its rows, times and
+        # kept basis values
+        kept = [(key, fr.rows.nbytes + fr.t.nbytes + sum(v.nbytes for v in fr.kept.values()))
+                for chunk in eng.chunks for i, (local, at) in enumerate(chunk["subs"])
+                if len(local) and eng.spec.submodels[i].is_survival
+                for key, fr in at.kept.items() if isinstance(fr, Frame)]
+        assert kept
+        return sorted(kept)
+
+    eng.total_loglik(P[0])
+    one = node_blocks()
+    eng.total_loglik(P)
+    assert node_blocks() == one
 
 
 USER_SPEC = "user : y ~ rcs(time, df = 3) + time:x + ap(1) | userf=logl_gaussian timevar=time\n"

@@ -108,6 +108,19 @@ class TestDependencies:
         assert surv == ["M1", "_cons", "log(gamma)", "log_sd(M1)"]
         assert long == ["time", "_cons", "log_sd(resid.)", "log_sd(M1)"]
 
+    def test_random_effect_reaches_its_own_log_sd(self):
+        # b = diag(exp(log_sd)) chol(C) z: b_k depends on log_sd_k and the
+        # level's correlations only
+        spec_text = ("levels = id\nip = 5\nbernoulli : yb ~ x + M1[id]*1\n"
+                     "poisson : yc ~ x + M2[id]*1\n")
+        eng = _engine(spec_text, _glmm_data())
+        assert [_labels(eng, d) for d in eng.deps] == [["x", "_cons", "log_sd(M1)"],
+                                                      ["x", "_cons", "log_sd(M2)"]]
+        eng = _engine("covariance = unstructured\n" + spec_text, _glmm_data())
+        assert [_labels(eng, d) for d in eng.deps] == [
+            ["x", "_cons", "log_sd(M1)", "atanh_corr(M2,M1)"],
+            ["x", "_cons", "log_sd(M2)", "atanh_corr(M2,M1)"]]
+
 
 def _data(levels=()):
     """90 rows of 30 clusters id, a survival response (t, d) and normal

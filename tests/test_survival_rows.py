@@ -5,7 +5,7 @@ eta on all of a frame's rows and drops a censored row's log h.  It must
 give the bits of the formula it replaced, which evaluated eta again on a
 frame of the event rows and added log h to -H there.  Every survival model
 of test_batch.MODELS and the fp model of test_time_blocks are checked, on
-the likelihood engine's kept frames, for one point and a 4-point batch.
+the likelihood engine's kept frames, at 4 points.
 """
 
 import numpy as np
@@ -76,9 +76,6 @@ def test_loglik_matrix_matches_event_row_oracle(monkeypatch, name):
             draws = eng.draws(x)
             assert np.array_equal(ev.loglik_matrix(x, i, draws, at),
                                   event_row_loglik(ev, x, i, draws, at))
-        draws, params = eng._columns(P)
-        assert np.array_equal(ev.loglik_matrix(params, i, draws, at),
-                              event_row_loglik(ev, params, i, draws, at))
 
 
 def test_rp_points_have_nonpositive_slopes_at_censored_and_event_times(monkeypatch):
