@@ -39,7 +39,11 @@ re-evaluates that submodel alone.  A one-point evaluation keeps its
 reduction, so the score at the point the line search has just accepted
 does not evaluate it again.  Where the score is not finite or cannot be
 evaluated, BFGS takes central differences of the whole likelihood, which
-carry the _BIG penalty, and counts them (engine.fallbacks).
+carry the _BIG penalty, and counts them (engine.fallbacks).  BFGS starts
+its inverse Hessian approximation from the BHHH matrix (G'G)^-1 of the
+per-cluster scores G at the start values (LikelihoodEngine.cluster_scores,
+whose sum is the score), and from I where the start gradient fell back to
+central differences or G'G is not finite or not positive definite.
 
 The standard errors invert a Hessian of -log L at the estimates.  Where
 every submodel's row scores are analytic and the model has at most one
@@ -361,8 +365,17 @@ class LikelihoodEngine:
         return np.asarray([np.sum(self._pass(x)) for x in params])
 
     def score(self, x) -> np.ndarray:
-        """The gradient of log L at one point x (p,): the posterior-weighted
-        sum of the row derivatives (Louis 1982).
+        """The gradient of log L at one point x (p,): cluster_scores summed
+        over all clusters at once, so the result does not depend on the
+        chunk partition.  NaN where it is not finite, as where a cluster's
+        log L is not."""
+        g = np.sum(self.cluster_scores(x), axis=0)
+        return np.where(np.isfinite(g), g, np.nan)
+
+    def cluster_scores(self, x) -> np.ndarray:
+        """The gradient of each top-level cluster's log L (a row's, without
+        levels) at one point x (p,), (n_clusters, p) in cluster order: the
+        posterior-weighted sum of its rows' derivatives (Louis 1982).
 
         The row weights come from the reduction at x, the one kept by the
         last one-point evaluation if it was at x.  The rows of a submodel in
@@ -375,16 +388,15 @@ class LikelihoodEngine:
         one at a time on each chunk, and contracted with the weights over
         the nodes before the two sides are differenced.
         Nodes of weight 0 contribute 0.  The row scores are summed per
-        top-level cluster and then over all clusters at once, so the result
-        does not depend on the chunk partition.  NaN where it is not finite,
-        as where a cluster's log L is not."""
+        top-level cluster.  All NaN where a node weight is not finite, as
+        where a cluster's log L is not."""
         x = np.asarray(x, dtype=float)
         self.scores += 1
         xdraws = self.draws(x)
         weights = self._weights(x, xdraws)
         n = len(x)
         if not all(np.all(np.isfinite(W)) for W, _ in weights):
-            return np.full(n, np.nan)
+            return np.full((self.n_clusters, n), np.nan)
         points, h = _gradient_points(x, GRAD_STEP)
         S = [np.zeros((len(chunk["rows"]), n)) for chunk in self.chunks]
         for i, deps in enumerate(self.deps):
@@ -413,8 +425,7 @@ class LikelihoodEngine:
         clusters = [np.bincount((chunk["top"][:, None] * n + np.arange(n)).ravel(),
                                 weights=rows.ravel()).reshape(-1, n)
                     for chunk, rows in zip(self.chunks, S)]
-        g = np.sum(np.concatenate(clusters), axis=0) if clusters else np.zeros(n)
-        return np.where(np.isfinite(g), g, np.nan)
+        return np.concatenate(clusters) if clusters else np.zeros((0, n))
 
     def _weights(self, x, xdraws):
         """Each chunk's _node_weights at one point x, from the reduction kept
@@ -444,35 +455,51 @@ class LikelihoodEngine:
         both are summed per top-level cluster (a row, without levels) and
         node, the cluster's information is formed pair by pair on
         (clusters, nq) arrays, and the clusters' matrices are summed at
-        once, so the result does not depend on the chunk partition.  A node
-        of weight 0 contributes 0.  Not finite where a cluster's log L or
-        a derivative is not."""
+        once, so the result does not depend on the chunk partition.  A
+        model without levels has one node of weight 1, where s_iq = s_i and
+        the covariance is 0: its rows' second derivatives alone are summed,
+        and a parameter whose row score is not finite on some row gets a
+        NaN row and column.  A node of weight 0 contributes 0.  Not finite
+        where a cluster's log L or a derivative is not."""
         x = np.asarray(x, dtype=float)
         xdraws, n, nq, parts = self.draws(x), len(x), self.nq, []
-        pairs = _pairs(n)
+        pairs, levels = _pairs(n), bool(self.spec.levels)
         for chunk, (W, _) in zip(self.chunks, self._weights(x, xdraws)):
             top = chunk["top"]
             n_top = int(top.max()) + 1
-            w = W if self.spec.levels else np.ones((n_top, 1))  # (clusters, nq)
-            S, D2 = np.zeros((n, n_top, nq)), np.zeros((n, n, n_top))
+            w = W if levels else np.ones((n_top, 1))  # (clusters, nq)
+            D2 = np.zeros((n, n, n_top))
+            if levels:
+                S = np.zeros((n, n_top, nq))
+            else:
+                bad = np.zeros(n, dtype=bool)  # a parameter's row score not finite
             for i, deps in enumerate(self.deps):
                 local, at = chunk["subs"][i]
                 if not len(local):
                     continue
                 lab, m = top[local], len(deps)
                 rows = self._row_information(i, x, xdraws, at, w[lab], deps)
-                idx = (lab[:, None] * nq + np.arange(nq)).ravel()
-                for a, k in enumerate(deps):
-                    S[k] += np.bincount(idx, weights=rows[:, a * nq:(a + 1) * nq].ravel(),
-                                        minlength=n_top * nq).reshape(n_top, nq)
+                if levels:
+                    idx = (lab[:, None] * nq + np.arange(nq)).ravel()
+                    for a, k in enumerate(deps):
+                        S[k] += np.bincount(idx, weights=rows[:, a * nq:(a + 1) * nq].ravel(),
+                                            minlength=n_top * nq).reshape(n_top, nq)
+                else:
+                    bad[deps] |= ~np.all(np.isfinite(rows[:, :m]), axis=0)
                 for c, (a, b) in enumerate(_pairs(m), start=m * nq):
                     D2[deps[a], deps[b]] += np.bincount(lab, weights=rows[:, c], minlength=n_top)
-            s = np.sum(w * S, axis=-1)
-            dev = np.where(w > 0, S - s[..., None], 0.0)
-            wdev = w * dev
             J = np.empty((n_top, n, n))
-            for a, b in pairs:
-                J[:, a, b] = J[:, b, a] = -(D2[a, b] + np.sum(wdev[a] * dev[b], axis=-1))
+            if levels:
+                s = np.sum(w * S, axis=-1)
+                dev = np.where(w > 0, S - s[..., None], 0.0)
+                wdev = w * dev
+                for a, b in pairs:
+                    J[:, a, b] = J[:, b, a] = -(D2[a, b] + np.sum(wdev[a] * dev[b], axis=-1))
+            else:
+                for a, b in pairs:
+                    J[:, a, b] = J[:, b, a] = -D2[a, b]
+                J[:, bad] = np.nan
+                J[:, :, bad] = np.nan
             parts.append(J)
         return np.sum(np.concatenate(parts), axis=0) if parts else np.zeros((n, n))
 
@@ -770,38 +797,70 @@ def central_hessian(f, x, step_scale):
 
 
 def _bfgs_gradient(engine, x):
-    """The gradient of -log L at x: minus the engine's score, or, where the
-    score is not finite or x cannot be evaluated, the central differences
-    of -log L, whose _BIG penalty keeps the search off invalid points;
-    engine.fallbacks counts those."""
+    """The gradient of -log L at x, minus the sum of the per-cluster scores
+    G (engine.cluster_scores, (n_clusters, p)), which is -engine.score(x)
+    bit for bit, and G; or, where that gradient is not
+    finite or x cannot be evaluated, the central differences of -log L,
+    whose _BIG penalty keeps the search off invalid points, and None for
+    G; engine.fallbacks counts those."""
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            g = -engine.score(x)
+            G = engine.cluster_scores(x)
+            g = -np.sum(G, axis=0)
         if np.all(np.isfinite(g)):
-            return g
+            return g, G
     except (FloatingPointError, ValueError):
         pass
     engine.fallbacks += 1
-    return central_gradient(partial(_neg_loglik, engine), x, GRAD_STEP)
+    return central_gradient(partial(_neg_loglik, engine), x, GRAD_STEP), None
+
+
+def _bhhh_start(G, n):
+    """The BFGS start matrix: (G'G)^-1, the inverse of the outer product
+    of the per-cluster scores G (Berndt, Hall, Hall & Hausman 1974), and
+    a description for the debug record; I, and the reason, where there is
+    no G (the gradient fell back to central differences), G'G is not finite
+    (G is finite wherever its sum is, but G'G may overflow) or G'G is not
+    positive definite (fewer clusters than parameters, or a parameter that
+    moves no cluster's log L)."""
+    if G is None:
+        return np.eye(n), "identity (central-difference gradient)"
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = G.T @ G
+    if not np.all(np.isfinite(B)):
+        return np.eye(n), "identity (outer product not finite)"
+    try:
+        L = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        return np.eye(n), "identity (outer product not positive definite)"
+    Linv = np.linalg.inv(L)
+    eig = np.linalg.eigvalsh(B)  # as _vcov does; np.linalg.cond's SVD adds 0.4 MB of RSS
+    return Linv.T @ Linv, f"BHHH, condition number {eig[-1] / eig[0]:.6g}"
 
 
 def _bfgs(engine, x0, f0, max_iter: int):
     """BFGS ascent on the engine's log-likelihood, minimizing f = -log L
     with backtracking line search, from x0 where f is f0.
 
+    The inverse Hessian approximation starts from the BHHH matrix (G'G)^-1
+    of the per-cluster scores G at x0, which scales the first steps to the
+    likelihood's curvature, and from I where there is none (_bhhh_start);
+    it is reset to I wherever its direction is not a descent direction.
     Converged when the gradient inf-norm falls below GRAD_TOL and the
-    relative objective change falls below REL_TOL.  Each iteration logs a
-    debug record with the engine's counts of points, calls, scores and
-    central-difference fallbacks so far.
+    relative objective change falls below REL_TOL.  Logs a debug record of
+    the start matrix, then one per iteration with the engine's counts of
+    points, calls, scores and central-difference fallbacks so far and the
+    number of resets to I.
     """
     f = partial(_neg_loglik, engine)
     x = np.asarray(x0, dtype=float)
     n = len(x)
     fx = f0
-    g = _bfgs_gradient(engine, x)
-    Hinv = np.eye(n)
+    g, G = _bfgs_gradient(engine, x)
+    Hinv, start = _bhhh_start(G, n)
+    log.debug("start: %s", start)
     converged = False
-    it = 0
+    it = resets = 0
     rel_change = np.inf
     while it < max_iter:
         gmax = np.max(np.abs(g))
@@ -812,6 +871,7 @@ def _bfgs(engine, x0, f0, max_iter: int):
         slope = g @ p
         if slope >= 0:
             Hinv = np.eye(n)
+            resets += 1
             p = -g
             slope = g @ p
             if slope >= 0:
@@ -828,7 +888,7 @@ def _bfgs(engine, x0, f0, max_iter: int):
         if not ok:
             converged = gmax < GRAD_TOL
             break
-        g_new = _bfgs_gradient(engine, x_new)
+        g_new, _ = _bfgs_gradient(engine, x_new)
         s = x_new - x
         yv = g_new - g
         sy = s @ yv
@@ -841,9 +901,9 @@ def _bfgs(engine, x0, f0, max_iter: int):
         x, fx, g = x_new, f_new, g_new
         it += 1
         log.debug("iteration %d: logL %.10g, max|g| %.3g, alpha %.3g, %d halvings, "
-                  "%d points in %d engine calls, %d scores, %d fallbacks", it, -fx,
+                  "%d points in %d engine calls, %d scores, %d fallbacks, %d resets", it, -fx,
                   np.max(np.abs(g)), alpha, halvings, engine.points, engine.calls,
-                  engine.scores, engine.fallbacks)
+                  engine.scores, engine.fallbacks, resets)
     if fx >= _BIG:
         # the whole search stayed on the invalid-likelihood penalty plateau;
         # a zero gradient there is not convergence

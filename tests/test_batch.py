@@ -256,12 +256,15 @@ def test_iteration_records(caplog):
     data = sim_weibull(200, lam=0.1, gamma=1.4, beta=0.5, seed=7, cens_rate=0.1)
     with caplog.at_level(logging.DEBUG, logger="jointfit.estimation"):
         fit = fit_spec("weibull : Surv(t, d) ~ x", data)
-    engine, *records, hessian = [r for r in caplog.records if r.name == "jointfit.estimation"]
+    engine, start, *records, hessian = [r for r in caplog.records
+                                        if r.name == "jointfit.estimation"]
     assert engine.getMessage().startswith("engine: ")
+    assert re.fullmatch(r"start: BHHH, condition number \S+", start.getMessage())
     assert len(records) == fit.iterations > 0
     assert hessian.getMessage().startswith("Hessian: ")
     pattern = (r"iteration (\d+): logL (\S+), max\|g\| (\S+), alpha (\S+), (\d+) halvings, "
-               r"(\d+) points in (\d+) engine calls, (\d+) scores, (\d+) fallbacks")
+               r"(\d+) points in (\d+) engine calls, (\d+) scores, (\d+) fallbacks, "
+               r"(\d+) resets")
     points = calls = 1  # the start point
     for k, rec in enumerate(records, start=1):
         m = re.fullmatch(pattern, rec.getMessage())
@@ -274,6 +277,7 @@ def test_iteration_records(caplog):
         assert int(m[6]) == points + halvings + 1 and int(m[7]) == calls + halvings + 1
         assert int(m[8]) == k + 1
         assert int(m[9]) == 0  # every gradient was a finite score
+        assert int(m[10]) == 0  # every direction was a descent direction
         points, calls = int(m[6]), int(m[7])
     # the last iteration's point is the fit's
     assert float(m[2]) == pytest.approx(fit.loglik, rel=1e-9)
