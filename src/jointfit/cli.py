@@ -58,6 +58,8 @@ def _load(args, spec):
 
 
 def _run_fit(spec, args):
+    if args.max_iter < 0:
+        raise ParseError(f"--max-iter expects a non-negative integer, got {args.max_iter}")
     data = _load(args, spec)
     validate_spec(spec, data)
     controls = FitControls(max_iter=args.max_iter, seed=args.seed)

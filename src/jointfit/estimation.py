@@ -29,33 +29,34 @@ its rows' derivatives (Louis 1982).  The reduction of one point's row sums
 gives every row a posterior weight per node.  Where the family provides
 derivative kernels, every link reachable from the predictor is EV[] or
 XB[], and the rows need no bhazard or correlation parameter, a
-submodel's row derivatives are analytic: dl/deta times d eta/d theta
-(Evaluator.eta_gradient, through the links' targets), and dl/dap for an
-ancillary.  A cumulative hazard integrated over time nodes contributes
-the same node sum of h d eta/d theta, on the node blocks of its one-point
-evaluation.  Every other submodel's rows are differenced centrally in the
-parameters they depend on only, so a coefficient of one submodel
-re-evaluates that submodel alone.  A one-point evaluation keeps its
-reduction, so the score at the point the line search has just accepted
-does not evaluate it again.  Where the score is not finite or cannot be
-evaluated, BFGS takes central differences of the whole likelihood, which
-carry the _BIG penalty, and counts them (engine.fallbacks).  BFGS starts
-its inverse Hessian approximation from the BHHH matrix (G'G)^-1 of the
-per-cluster scores G at the start values (LikelihoodEngine.cluster_scores,
-whose sum is the score), and from I where the start gradient fell back to
-central differences or G'G is not finite or not positive definite.
+submodel's row derivatives are closed form, from one routine
+(LikelihoodEngine._row_terms) for both the score and the observed
+information: the derivatives of l in g = eta + off (Evaluator.eta_gradient
+through the links' targets) and in the ancillaries, where a cumulative
+hazard integrated over time nodes contributes the node sums of its
+one-point evaluation's node blocks.  Every other submodel's rows are
+differenced centrally in the parameters they depend on only, so a
+coefficient of one submodel re-evaluates that submodel alone.  A
+one-point evaluation keeps its reduction, so the score at the point the
+line search has just accepted does not evaluate it again.  Where the
+score is not finite or cannot be evaluated, BFGS takes central
+differences of the whole likelihood, which carry the _BIG penalty, and
+counts them (engine.fallbacks).  BFGS starts its inverse Hessian
+approximation from the BHHH matrix (G'G)^-1 of the per-cluster scores G
+at the start values (LikelihoodEngine.cluster_scores, whose sum is the
+score), and from I where the start gradient fell back to central
+differences or G'G is not finite or not positive definite.
 
 The standard errors invert a Hessian of -log L at the estimates.  Where
-every submodel's row scores are analytic and the model has at most one
-level (engine.exact_information), it is the engine's observed information
-(LikelihoodEngine.information): each cluster's posterior mean of the row
-second derivatives plus the posterior covariance of its node scores
-(Louis 1982), the exact Hessian of the likelihood on its fixed nodes,
-from one pass over the chunks at the estimates.  Every other model (rows
-differenced centrally, or two or more levels) keeps the Hessian of
-symmetric second differences, whose p^2 + p + 1 points are f at the
-estimates, one step either way on each axis and one step either way on
-each pair of axes.
+every submodel's row derivatives are closed form and the model has at
+most one level (engine.exact_information), it is the engine's observed
+information (LikelihoodEngine.information): each cluster's posterior mean
+of the row second derivatives plus the posterior covariance of its node
+scores, the exact Hessian of the likelihood on its fixed nodes, from one
+pass over the chunks at the estimates.  Every other model keeps the
+Hessian of symmetric second differences, whose p^2 + p + 1 points are f
+at the estimates, one step either way on each axis and one step either
+way on each pair of axes.
 """
 
 import json
@@ -212,7 +213,7 @@ class LikelihoodEngine:
         return out
 
     def _analytic(self, i) -> bool:
-        """Whether score takes submodel i's row derivatives in closed form:
+        """Whether submodel i's row derivatives are closed form (_row_terms):
         its family has derivative kernels, every link element of its
         predictor and of its link targets' predictors, at any depth, is a
         value link (EV[] or XB[]), and it has no bhazard and no atanh_corr
@@ -328,9 +329,10 @@ class LikelihoodEngine:
         reduction, as (W, unit): row r's weights are W[unit[r]].  W holds
         one row per lowest-level cluster: each level's node weights
         exp(agg - log L) * w, normalized per cluster, chained down from the
-        top level (one weight 1 without levels)."""
+        top level (one weight 1 per row, each its own top-level cluster,
+        without levels)."""
         if not levels:
-            return np.ones((1, 1)), np.zeros(len(chunk["rows"]), dtype=int)
+            return np.ones((len(chunk["rows"]), 1)), chunk["top"]
         for k, (agg, ll) in enumerate(levels):
             post = np.exp(agg - ll[..., None]) * self.node_sets[k].weights
             W = post if k == 0 else post * W[chunk["labels"][k - 1]][..., None]
@@ -379,17 +381,14 @@ class LikelihoodEngine:
 
         The row weights come from the reduction at x, the one kept by the
         last one-point evaluation if it was at x.  The rows of a submodel in
-        self.analytic take their derivatives in closed form, from eta and
-        its gradient at x, at the rows' times and at an integrated
-        cumulative hazard's nodes, and the family's derivative kernels
-        (_analytic_rows).  Every other submodel's rows are differenced
-        centrally, with the steps of central_gradient, in the parameters it
-        depends on only; each side point is evaluated with its own draws,
-        one at a time on each chunk, and contracted with the weights over
-        the nodes before the two sides are differenced.
-        Nodes of weight 0 contribute 0.  The row scores are summed per
-        top-level cluster.  All NaN where a node weight is not finite, as
-        where a cluster's log L is not."""
+        self.analytic take their derivatives in closed form (_row_terms).
+        Every other submodel's rows are differenced centrally, with the
+        steps of central_gradient, in the parameters it depends on only;
+        each side point is evaluated with its own draws, one at a time on
+        each chunk, and contracted with the weights over the nodes before
+        the two sides are differenced.  Nodes of weight 0 contribute 0.  The
+        row scores are summed per top-level cluster.  All NaN where a node
+        weight is not finite, as where a cluster's log L is not."""
         x = np.asarray(x, dtype=float)
         self.scores += 1
         xdraws = self.draws(x)
@@ -404,8 +403,8 @@ class LikelihoodEngine:
                 for chunk, (W, unit), rows in zip(self.chunks, weights, S):
                     local, at = chunk["subs"][i]
                     if len(local):
-                        rows[np.ix_(local, deps)] += self._analytic_rows(
-                            i, x, xdraws, at, W[unit[local]], deps)
+                        rows[np.ix_(local, deps)] += self._row_terms(
+                            i, x, xdraws, at, W[unit[local]], deps, second=False)
                 continue
             sides = [(p, self.draws(p)) for p in points[(2 * deps[:, None] + np.arange(2)).ravel()]]
             for chunk, (W, unit), rows in zip(self.chunks, weights, S):
@@ -442,7 +441,8 @@ class LikelihoodEngine:
     def information(self, x) -> np.ndarray:
         """The observed information -d2 log L / d theta d theta' at one
         point x (p,), for a model whose submodels are all in self.analytic
-        and which has at most one level (self.exact_information).
+        and which has at most one level (self.exact_information); a
+        ValueError names the reason for any other model.
 
         With fixed nodes a top-level cluster's likelihood is exactly
         L_i = sum_q v_q exp(l_iq), so d2 log L_i = sum_q w_iq d2 l_iq +
@@ -451,157 +451,111 @@ class LikelihoodEngine:
         s_iq = dl_iq / d theta, with the posterior weights w_iq of the
         reduction at x and s_i = sum_q w_iq s_iq, the score (Louis 1982):
         the exact Hessian of the discretized likelihood.  Each submodel's
-        rows give their node scores and sum_q w d2 l (_row_information);
-        both are summed per top-level cluster (a row, without levels) and
-        node, the cluster's information is formed pair by pair on
-        (clusters, nq) arrays, and the clusters' matrices are summed at
-        once, so the result does not depend on the chunk partition.  A
-        model without levels has one node of weight 1, where s_iq = s_i and
-        the covariance is 0: its rows' second derivatives alone are summed,
-        and a parameter whose row score is not finite on some row gets a
-        NaN row and column.  A node of weight 0 contributes 0.  Not finite
-        where a cluster's log L or a derivative is not."""
+        rows give their node scores and sum_q w d2 l (_row_terms); both are
+        summed per top-level cluster and node, the cluster's information is
+        formed a parameter's row at a time on (clusters, nq) arrays, and
+        the clusters' matrices are summed at once, so the result does not
+        depend on the chunk partition.  Without levels a cluster is a row
+        with one node of weight 1, where s_iq = s_i and the covariance is
+        0.  A node of weight 0 contributes 0.  Not finite where a cluster's
+        log L or a derivative is not; a node score that is not finite makes
+        its parameter's row and column NaN."""
+        if not self.exact_information:
+            rest = ", ".join(str(i + 1) for i, a in enumerate(self.analytic) if not a)
+            reasons = [f"no closed-form row derivatives in submodel {rest}"] if rest else []
+            if len(self.spec.levels) > 1:
+                reasons.append(f"{len(self.spec.levels)} levels, of at most 1")
+            raise ValueError("no exact information: " + "; ".join(reasons))
         x = np.asarray(x, dtype=float)
         xdraws, n, nq, parts = self.draws(x), len(x), self.nq, []
-        pairs, levels = _pairs(n), bool(self.spec.levels)
-        for chunk, (W, _) in zip(self.chunks, self._weights(x, xdraws)):
-            top = chunk["top"]
-            n_top = int(top.max()) + 1
-            w = W if levels else np.ones((n_top, 1))  # (clusters, nq)
-            D2 = np.zeros((n, n, n_top))
-            if levels:
-                S = np.zeros((n, n_top, nq))
-            else:
-                bad = np.zeros(n, dtype=bool)  # a parameter's row score not finite
+        # one level's lowest clusters are its top ones: w is (clusters, nq)
+        for chunk, (w, _) in zip(self.chunks, self._weights(x, xdraws)):
+            top, n_top = chunk["top"], len(w)
+            D2, S = np.zeros((n, n, n_top)), np.zeros((n, n_top, nq))
             for i, deps in enumerate(self.deps):
                 local, at = chunk["subs"][i]
                 if not len(local):
                     continue
                 lab, m = top[local], len(deps)
-                rows = self._row_information(i, x, xdraws, at, w[lab], deps)
-                if levels:
-                    idx = (lab[:, None] * nq + np.arange(nq)).ravel()
-                    for a, k in enumerate(deps):
-                        S[k] += np.bincount(idx, weights=rows[:, a * nq:(a + 1) * nq].ravel(),
-                                            minlength=n_top * nq).reshape(n_top, nq)
-                else:
-                    bad[deps] |= ~np.all(np.isfinite(rows[:, :m]), axis=0)
+                rows = self._row_terms(i, x, xdraws, at, w[lab], deps, second=True)
+                idx = (lab[:, None] * nq + np.arange(nq)).ravel()
+                for a, k in enumerate(deps):
+                    S[k] += np.bincount(idx, weights=rows[:, a * nq:(a + 1) * nq].ravel(),
+                                        minlength=n_top * nq).reshape(n_top, nq)
                 for c, (a, b) in enumerate(_pairs(m), start=m * nq):
                     D2[deps[a], deps[b]] += np.bincount(lab, weights=rows[:, c], minlength=n_top)
-            J = np.empty((n_top, n, n))
-            if levels:
-                s = np.sum(w * S, axis=-1)
+            s = np.sum(w * S, axis=-1)
+            with np.errstate(invalid="ignore"):  # a score not finite gives NaN
                 dev = np.where(w > 0, S - s[..., None], 0.0)
-                wdev = w * dev
-                for a, b in pairs:
-                    J[:, a, b] = J[:, b, a] = -(D2[a, b] + np.sum(wdev[a] * dev[b], axis=-1))
-            else:
-                for a, b in pairs:
-                    J[:, a, b] = J[:, b, a] = -D2[a, b]
-                J[:, bad] = np.nan
-                J[:, :, bad] = np.nan
+            wdev = w * dev
+            J = np.empty((n_top, n, n))
+            for a in range(n):
+                J[:, a, a:] = J[:, a:, a] = -(D2[a, a:] + np.sum(wdev[a] * dev[a:], axis=-1)).T
             parts.append(J)
         return np.sum(np.concatenate(parts), axis=0) if parts else np.zeros((n, n))
 
-    def _row_information(self, i, x, draws, at, Wl, deps) -> np.ndarray:
-        """Submodel i's rows at x on a chunk's kept frame, from their node
-        weights Wl, packed as _louis_rows packs them: each row's score at
-        every node and its sum_q Wl d2 l per pair of deps.
+    def _row_terms(self, i, x, draws, at, Wl, deps, second) -> np.ndarray:
+        """Submodel i's closed-form row derivatives at x on a chunk's kept
+        frame, from the rows' node weights Wl: the row scores of
+        _score_rows, or with second the node scores and weighted second
+        derivatives of _louis_rows.
 
-        A survival row with H = exp(eta) Lambda0(t) has l = d (eta + off) -
-        exp(eta) Lambda0.  Else H is the sum over the Gauss-Legendre nodes
-        u_j of w_j exp(g(u_j)), g = eta + off, so the rows subtract the node
-        sums of h (dg dg' + d2 g) and of h dg from the event terms of
-        d g(t), on the node blocks of the one-point H, one eta_gradient per
-        block, as score does."""
+        A row's l depends on g = eta + off and on its ancillaries.  A
+        survival row has l = d g(t) - H(t), off = log h - eta.  Where H =
+        exp(eta) Lambda0(t), dl/dg = d - H and off's ancillaries enter
+        through dl/dap.  Else H is the sum over the Gauss-Legendre nodes u_j
+        of w_j exp(g(u_j)), so l's derivatives are the event terms of d g(t)
+        less the node sums of those of h(u_j), dl/dg = d2l/dg2 = h, with the
+        ancillaries folded into dg and d2g as d off/dap and d2 off/dap2:
+        the exact derivatives of the discretized H, on the node blocks of
+        the one-point H, one eta_gradient per block."""
         fam = families.FAMILIES[self.spec.submodels[i].family]
-        eta, d_eta, d2_eta = self.ev.eta_gradient(x, i, at, draws, second=True)
         ap, ap_idx = self.ev._ap(x, i), self.ev.subs[i].ap_idx
-        terms = partial(_louis_rows, deps=deps, ap_idx=ap_idx)
+
+        def by_pair(values):
+            return {(ap_idx[a], ap_idx[b]): v for (a, b), v in zip(_pairs(len(ap_idx)), values)}
+
+        def derivatives(frame):
+            # eta, d eta and, with second, d2 eta ({} without)
+            if second:
+                return self.ev.eta_gradient(x, i, frame, draws, second=True)
+            return (*self.ev.eta_gradient(x, i, frame, draws), {})
+
+        def pack(Wl, dg, d2g, dl, dap, dll=None, dla=(), daa=()):
+            # dl/dap and d2l/dg dap by ancillary, d2l/dap dap' by ancillary
+            # pair, d2l/dg2 None for 0
+            dap = dict(zip(ap_idx, dap))
+            if not second:
+                return _score_rows(Wl, dg, dl, dap, deps)
+            return _louis_rows(Wl, dg, d2g, dl, dap, dll, dict(zip(ap_idx, dla)), by_pair(daa),
+                               deps)
+        eta, dg, d2g = derivatives(at)
         if not fam.survival:
             y = at.y[:, None]
-            dl, dap = fam.loglik_d(y, eta, ap)
-            return terms(d_eta, d2_eta, Wl, dl, *fam.loglik_d2(y, eta, ap), dap=dap)
+            return pack(Wl, dg, d2g, *fam.loglik_d(y, eta, ap),
+                        *(fam.loglik_d2(y, eta, ap) if second else ()))
         t, d = at.t[:, None], at.y[:, 1:2]
         if self.ev.closed_form_cumhazard(i):
             e = np.exp(eta)
             H = e * fam.cumhazard(t, ap)
             dc = [e * v for v in fam.cumhazard_d(t, ap)]
-            return terms(d_eta, d2_eta, Wl, d - H, -H, [-v for v in dc],
-                         [d * o - e * c for o, c in zip(fam.log_hazard_d2(t, ap),
-                                                        fam.cumhazard_d2(t, ap))],
-                         dap=[d * o - v for o, v in zip(fam.log_hazard_d(t, ap), dc)])
+            dap = [d * o - v for o, v in zip(fam.log_hazard_d(t, ap), dc)]
+            if not second:
+                return pack(Wl, dg, d2g, d - H, dap)
+            daa = [d * o - e * c for o, c in zip(fam.log_hazard_d2(t, ap), fam.cumhazard_d2(t, ap))]
+            return pack(Wl, dg, d2g, d - H, dap, -H, [-v for v in dc], daa)
+
+        def fold(u, dg, d2g):
+            dg = {**dg, **dict(zip(ap_idx, fam.log_hazard_d(u, ap)))}
+            return dg, {**d2g, **by_pair(fam.log_hazard_d2(u, ap))} if second else d2g
 
         def node_terms(block):
-            b_eta, b_d_eta, b_d2_eta = self.ev.eta_gradient(x, i, block, draws, second=True)
+            b_eta, b_dg, b_d2g = derivatives(block)
             u = block.t[:, None]
             h = np.exp(b_eta + fam.log_hazard(u, ap))
-            off = fam.log_hazard_d(u, ap)
-            off2 = [h * (off[a] * off[b] + o)
-                    for (a, b), o in zip(_pairs(len(off)), fam.log_hazard_d2(u, ap))]
-            hoff = [h * o for o in off]
-            return terms(b_d_eta, b_d2_eta, np.tile(Wl, (len(u) // len(Wl), 1)), h, h, hoff,
-                         off2, dap=hoff)
-        events = terms(d_eta, d2_eta, Wl, d, None, None,
-                       [d * o for o in fam.log_hazard_d2(t, ap)],
-                       dap=[d * o for o in fam.log_hazard_d(t, ap)])
+            return pack(np.tile(Wl, (len(u) // len(Wl), 1)), *fold(u, b_dg, b_d2g), h, (), h)
+        events = pack(Wl, *fold(t, dg, d2g), d, ())
         return events - integrate_to(node_terms, at, TIME_GL_POINTS, Wl.shape[1])
-
-    def _analytic_rows(self, i, x, draws, at, Wl, deps) -> np.ndarray:
-        """Submodel i's closed-form row scores at x on a chunk's kept frame,
-        (rows, len(deps)) in the order of deps, from the rows' node weights
-        Wl: sum_q Wl dl/deta d eta/d theta for a parameter of the predictor
-        and sum_q Wl dl/dap for an ancillary.
-
-        A survival row has l = d (eta(t) + off(t)) - H(t), off = log h - eta.
-        Where H = exp(eta) Lambda0(t), dl/deta = d - H.  Else H is the sum
-        over the Gauss-Legendre nodes u_j of w_j h(u_j), so dl/dtheta =
-        d d eta(t)/dtheta - sum_j w_j h(u_j) d eta(u_j)/dtheta, and the same
-        with off for an ancillary: the exact derivative of the discretized
-        H.  The node terms are contracted with Wl on the node blocks of the
-        one-point H, one eta_gradient per block."""
-        fam = families.FAMILIES[self.spec.submodels[i].family]
-        eta, d_eta = self.ev.eta_gradient(x, i, at, draws)
-        ap, ap_idx = self.ev._ap(x, i), self.ev.subs[i].ap_idx
-        col = {k: j for j, k in enumerate(deps)}
-        # a node of weight 0 contributes 0, though a kernel may be inf or
-        # nan there
-        zero = None if np.all(Wl) else Wl == 0
-
-        def weighted(v):
-            return (v if zero is None else np.where(zero, 0.0, v)) * Wl
-
-        def contract(G, derivs):
-            # sum_q G d/dtheta, for (parameter, derivative) pairs; a
-            # derivative without random effects is (rows, 1)
-            out = np.zeros((len(G), len(deps)))
-            G_rows = np.sum(G, axis=-1)
-            for k, v in derivs:
-                out[:, col[k]] = G_rows * v[:, 0] if v.shape[1] == 1 else np.sum(G * v, axis=-1)
-            return out
-
-        if not fam.survival:
-            dl, dap = fam.loglik_d(at.y[:, None], eta, ap)
-        elif self.ev.closed_form_cumhazard(i):
-            t, d = at.t[:, None], at.y[:, 1:2]
-            e = np.exp(eta)
-            dl = d - e * fam.cumhazard(t, ap)
-            dap = [d * dh - e * dc
-                   for dc, dh in zip(fam.cumhazard_d(t, ap), fam.log_hazard_d(t, ap))]
-        else:
-            def node_terms(block):
-                b_eta, b_d_eta = self.ev.eta_gradient(x, i, block, draws)
-                u = block.t[:, None]
-                h = np.exp(b_eta + fam.log_hazard(u, ap)).reshape((-1,) + Wl.shape)
-                return contract(weighted(h).reshape(-1, Wl.shape[1]),
-                                [*b_d_eta.items(), *zip(ap_idx, fam.log_hazard_d(u, ap))])
-            events = contract(weighted(at.y[:, 1:2]),
-                              [*d_eta.items(), *zip(ap_idx, fam.log_hazard_d(at.t[:, None], ap))])
-            return events - integrate_to(node_terms, at, TIME_GL_POINTS, Wl.shape[1])
-        out = contract(weighted(dl), d_eta.items())
-        for k, v in zip(ap_idx, dap):
-            out[:, col[k]] = np.sum(weighted(v), axis=-1)
-        return out
 
 
 def _pairs(n):
@@ -609,31 +563,46 @@ def _pairs(n):
     return [(a, b) for a in range(n) for b in range(a, n)]
 
 
-def _louis_rows(d_eta, d2_eta, Wl, dl, dll, dla, daa, dap, deps, ap_idx) -> np.ndarray:
-    """Rows of l(eta(theta), ap) for the observed information, packed as
-    (rows, len(deps) * nq + pairs): first each parameter of deps in turn,
-    its node scores dl/d theta at every node (dl d eta/d theta, or dl/dap
-    for an ancillary), then for each pair of deps positions a <= b in
-    row-major order the weighted node sum sum_q Wl d2 l/d theta_a
-    d theta_b, from the kernel's d2l/deta2 (dll, None for 0), d2l/deta dap
-    (dla, None for 0) and d2l/dap dap' (daa, by ancillary pair), and the
-    predictor's d eta and d2 eta from eta_gradient.  A node of weight 0 has
-    node scores 0 and contributes 0, though a kernel may be inf or nan
-    there."""
+def _score_rows(Wl, d_eta, dl, dap, deps) -> np.ndarray:
+    """Row scores (rows, len(deps)) in the order of deps, from the rows'
+    node weights Wl: sum_q Wl dl d eta/d theta for a parameter of d_eta,
+    with a derivative without random effects ((rows, 1)) taken out of the
+    node sum, and sum_q Wl dl/dap for an ancillary of dap.  A node of
+    weight 0 contributes 0, though a kernel may be inf or nan there."""
+    zero, col = None if np.all(Wl) else Wl == 0, {k: j for j, k in enumerate(deps)}
+
+    def weighted(v):
+        return (v if zero is None else np.where(zero, 0.0, v)) * Wl
+    out = np.zeros((len(Wl), len(deps)))
+    for k, v in dap.items():
+        out[:, col[k]] = np.sum(weighted(v), axis=-1)
+    G = weighted(dl)
+    G_rows = np.sum(G, axis=-1)
+    for k, v in d_eta.items():
+        out[:, col[k]] = G_rows * v[:, 0] if v.shape[1] == 1 else np.sum(G * v, axis=-1)
+    return out
+
+
+def _louis_rows(Wl, d_eta, d2_eta, dl, dap, dll, dla, daa, deps) -> np.ndarray:
+    """Rows for the observed information (rows, len(deps) * nq + pairs):
+    first each parameter of deps in turn, its node scores dl d eta/d theta
+    (or dl/dap for an ancillary of dap) at every node, then for each pair
+    of deps positions a <= b in row-major order sum_q Wl d2 l/d theta_a
+    d theta_b, from d eta and d2 eta, d2l/deta2 (dll, None for 0), and
+    d2l/deta dap (dla, by ancillary) and d2l/dap dap' (daa, by ancillary
+    pair).  A node of weight 0 has node scores 0 and contributes 0, though
+    a kernel may be inf or nan there."""
     zero = None if np.all(Wl) else Wl == 0
     rows, nq, m = Wl.shape[0], Wl.shape[1], len(deps)
     out = np.zeros((rows, m * nq + m * (m + 1) // 2))
-    ap = dict(zip(ap_idx, dap))
     for a, k in enumerate(deps):
         node_scores = out[:, a * nq:(a + 1) * nq]
         if k in d_eta:
             np.multiply(dl, d_eta[k], out=node_scores)
-        elif k in ap:
-            node_scores[:] = ap[k]
+        elif k in dap:
+            node_scores[:] = dap[k]
         if zero is not None:
             node_scores[zero] = 0.0
-    dla = {} if dla is None else dict(zip(ap_idx, dla))
-    daa = {(ap_idx[a], ap_idx[b]): v for (a, b), v in zip(_pairs(len(ap_idx)), daa)}
     sums = {}  # id(kernel) -> sum_q Wl x kernel
 
     def node_sum(kernel, *factors):

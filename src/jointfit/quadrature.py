@@ -23,9 +23,8 @@ from scipy.stats import qmc
 # nodes as fit, sized before the first call from the rows and the width the
 # caller states.  Without a cap a nested integral stacks every node at once
 # (an rmst of 30 rows: 45,000 rows of a cumulative hazard).  A block holds
-# at least one node, so the wide rows of a likelihood pass of several
-# points (estimation.PASS_DOUBLES) take more, smaller blocks than one
-# point's.
+# at least one node, so rows that are wide with many random-effect nodes
+# take more, smaller blocks.
 TIME_BLOCK_DOUBLES = 2**13
 
 # least and most points of each random-effect integration method

@@ -147,14 +147,14 @@ def test_information_without_levels_is_nan_where_a_row_score_is_not(monkeypatch)
     eng = _engine("gaussian : y ~ x", make_dataset({v: d.column(v) for v in "xy"}))
     x = start_values(eng) + 0.1
     want = eng.information(x)
-    rows = LikelihoodEngine._row_information
+    rows = LikelihoodEngine._row_terms
 
-    def one_infinite(self, i, *args):
-        out = rows(self, i, *args)
+    def one_infinite(self, i, *args, **kwargs):
+        out = rows(self, i, *args, **kwargs)
         out[3, 0] = np.inf  # row 3's score in its submodel's first parameter
         return out
 
-    monkeypatch.setattr(LikelihoodEngine, "_row_information", one_infinite)
+    monkeypatch.setattr(LikelihoodEngine, "_row_terms", one_infinite)
     got = eng.information(x)
     k = eng.deps[0][0]
     assert np.all(np.isnan(got[k])) and np.all(np.isnan(got[:, k]))

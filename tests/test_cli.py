@@ -121,6 +121,17 @@ class TestFit:
         assert not doc["converged"]
         assert np.isfinite(doc["loglik"])
 
+    @pytest.mark.parametrize("command", [["fit", "--inline", "gaussian : y ~ x"],
+                                         ["mlsurv", "--formula", "Surv(t, d) ~ x",
+                                          "--distribution", "weibull"]])
+    def test_negative_max_iter_exits_2(self, command, surv_csv, lmm_csv, tmp_path, capsys):
+        out = tmp_path / "fit.json"
+        data = lmm_csv if command[0] == "fit" else surv_csv
+        assert run([*command, "--data", data, "--max-iter", "-3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --max-iter expects a non-negative integer, got -3\n"
+        assert not captured.out and not out.exists()
+
     def test_ip_flag_recorded(self, lmm_csv, tmp_path):
         out = tmp_path / "fit.json"
         run(["fit", "--inline", "levels = id\ngaussian : y ~ x + M1[id]*1",

@@ -135,6 +135,60 @@ class TestKernels:
             assert abs(below[0, 0] / above[0, 0] - 1.0) < 1e-11
 
 
+class TestOutsideTheExactModels:
+    """A model outside engine.exact_information is refused with a
+    ValueError that names its submodels whose row derivatives are not
+    closed form, by 1-based number, or its level count."""
+
+    REASONS = {"bhazard": "in submodel 1", "iev": "in submodel 2", "rp": "in submodel 1",
+               "two_level_poisson": "2 levels", "two_level_shuffled": "2 levels",
+               "unstructured_projected": "in submodel 1", "user": "in submodel 1"}
+
+    def test_every_other_model_has_a_reason(self):
+        assert sorted(self.REASONS) == sorted(set(MODELS) - set(EXACT))
+
+    @pytest.mark.filterwarnings("ignore:correlation matrix of dimension 2:RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(REASONS))
+    def test_refused_with_the_reason(self, monkeypatch, name):
+        eng = _engine(*_model(monkeypatch, name))
+        reason = self.REASONS[name]
+        want = ("no closed-form row derivatives " + reason if reason.startswith("in ")
+                else reason + ", of at most 1")
+        with pytest.raises(ValueError, match=f"^no exact information: {want}$"):
+            eng.information(_points(name, eng, n_points=2)[0])
+
+
+class TestPackings:
+    """The two packings of LikelihoodEngine._row_terms agree to first
+    order: the information's node scores, weighted by the posterior node
+    weights and summed per top-level cluster, are cluster_scores, within
+    1e-12 of each parameter's largest."""
+
+    @staticmethod
+    def weighted_node_scores(eng, x):
+        draws, n, nq, out = eng.draws(x), len(x), eng.nq, []
+        for chunk, (W, unit) in zip(eng.chunks, eng._weights(x, draws)):
+            rows = np.zeros((len(chunk["rows"]), n))
+            for i, deps in enumerate(eng.deps):
+                local, at = chunk["subs"][i]
+                if len(local):
+                    Wl = W[unit[local]]
+                    packed = eng._row_terms(i, x, draws, at, Wl, deps, second=True)
+                    node_scores = packed[:, :len(deps) * nq].reshape(len(local), len(deps), nq)
+                    rows[np.ix_(local, deps)] += np.sum(node_scores * Wl[:, None, :], axis=-1)
+            out.append(np.column_stack([np.bincount(chunk["top"], weights=r) for r in rows.T]))
+        return np.concatenate(out)
+
+    @pytest.mark.parametrize("name", EXACT)
+    def test_node_scores_sum_to_the_cluster_scores(self, monkeypatch, name):
+        eng = _engine(*_model(monkeypatch, name))
+        for x in _points(name, eng, n_points=2):
+            want = eng.cluster_scores(x)
+            got = self.weighted_node_scores(eng, x)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=0))
+
+
 class TestInformation:
     """information(x) against central differences of the score (step
     1e-5 max(1, |x|)), to 1e-6 of the largest entry."""
