@@ -119,7 +119,9 @@ def build_levels(d: Dataset, levels: tuple[str, ...]) -> Dataset:
         if np.any(col != np.round(col)):
             raise DataError(f"level variable {name!r} must be integer-coded")
         codes, inverse = np.unique(col.astype(np.int64), return_inverse=True)
-        rows = [np.flatnonzero(inverse == k) for k in range(len(codes))]
+        # each cluster's rows in row order: one stable sort, split by size
+        bounds = np.cumsum(np.bincount(inverse, minlength=len(codes)))[:-1]
+        rows = np.split(np.argsort(inverse, kind="stable"), bounds)
         index[name] = LevelIndex(name, inverse, rows)
     for hi, lo in zip(levels, levels[1:]):
         hi_of_row = index[hi].row_cluster

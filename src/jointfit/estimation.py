@@ -66,7 +66,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.stats import norm
 
 from . import families
 from .data import DataError, Dataset, response_view
@@ -521,18 +520,20 @@ class LikelihoodEngine:
                 return self.ev.eta_gradient(x, i, frame, draws, second=True)
             return (*self.ev.eta_gradient(x, i, frame, draws), {})
 
-        def pack(Wl, dg, d2g, dl, dap, dll=None, dla=(), daa=()):
-            # dl/dap and d2l/dg dap by ancillary, d2l/dap dap' by ancillary
-            # pair, d2l/dg2 None for 0
+        def pack(k, dg, d2g, dl, dap, dll=None, dla=(), daa=()):
+            # the terms of k node blocks of the frame's rows (1: the rows
+            # themselves); dl/dap and d2l/dg dap by ancillary, d2l/dap dap'
+            # by ancillary pair, d2l/dg2 None for 0
             dap = dict(zip(ap_idx, dap))
             if not second:
-                return _score_rows(Wl, dg, dl, dap, deps)
-            return _louis_rows(Wl, dg, d2g, dl, dap, dll, dict(zip(ap_idx, dla)), by_pair(daa),
-                               deps)
+                return _score_rows(Wl, zero, dg, dl, dap, deps)
+            return _louis_rows(Wl if k == 1 else np.tile(Wl, (k, 1)), dg, d2g, dl, dap, dll,
+                               dict(zip(ap_idx, dla)), by_pair(daa), deps)
+        zero = None if second or np.all(Wl) else Wl == 0
         eta, dg, d2g = derivatives(at)
         if not fam.survival:
             y = at.y[:, None]
-            return pack(Wl, dg, d2g, *fam.loglik_d(y, eta, ap),
+            return pack(1, dg, d2g, *fam.loglik_d(y, eta, ap),
                         *(fam.loglik_d2(y, eta, ap) if second else ()))
         t, d = at.t[:, None], at.y[:, 1:2]
         if self.ev.closed_form_cumhazard(i):
@@ -541,9 +542,9 @@ class LikelihoodEngine:
             dc = [e * v for v in fam.cumhazard_d(t, ap)]
             dap = [d * o - v for o, v in zip(fam.log_hazard_d(t, ap), dc)]
             if not second:
-                return pack(Wl, dg, d2g, d - H, dap)
+                return pack(1, dg, d2g, d - H, dap)
             daa = [d * o - e * c for o, c in zip(fam.log_hazard_d2(t, ap), fam.cumhazard_d2(t, ap))]
-            return pack(Wl, dg, d2g, d - H, dap, -H, [-v for v in dc], daa)
+            return pack(1, dg, d2g, d - H, dap, -H, [-v for v in dc], daa)
 
         def fold(u, dg, d2g):
             dg = {**dg, **dict(zip(ap_idx, fam.log_hazard_d(u, ap)))}
@@ -553,8 +554,8 @@ class LikelihoodEngine:
             b_eta, b_dg, b_d2g = derivatives(block)
             u = block.t[:, None]
             h = np.exp(b_eta + fam.log_hazard(u, ap))
-            return pack(np.tile(Wl, (len(u) // len(Wl), 1)), *fold(u, b_dg, b_d2g), h, (), h)
-        events = pack(Wl, *fold(t, dg, d2g), d, ())
+            return pack(len(u) // len(Wl), *fold(u, b_dg, b_d2g), h, (), h)
+        events = pack(1, *fold(t, dg, d2g), d, ())
         return events - integrate_to(node_terms, at, TIME_GL_POINTS, Wl.shape[1])
 
 
@@ -563,17 +564,22 @@ def _pairs(n):
     return [(a, b) for a in range(n) for b in range(a, n)]
 
 
-def _score_rows(Wl, d_eta, dl, dap, deps) -> np.ndarray:
-    """Row scores (rows, len(deps)) in the order of deps, from the rows'
-    node weights Wl: sum_q Wl dl d eta/d theta for a parameter of d_eta,
-    with a derivative without random effects ((rows, 1)) taken out of the
-    node sum, and sum_q Wl dl/dap for an ancillary of dap.  A node of
-    weight 0 contributes 0, though a kernel may be inf or nan there."""
-    zero, col = None if np.all(Wl) else Wl == 0, {k: j for j, k in enumerate(deps)}
+def _score_rows(Wl, zero, d_eta, dl, dap, deps) -> np.ndarray:
+    """Row scores (rows, len(deps)) in the order of deps, from the node
+    weights Wl of a frame's rows, which the terms' rows repeat node-major
+    for a stack of node blocks: sum_q Wl dl d eta/d theta for a parameter
+    of d_eta, with a derivative without random effects ((rows, 1)) taken
+    out of the node sum, and sum_q Wl dl/dap for an ancillary of dap.  A
+    node of weight 0 (zero: Wl == 0, None where there is none) contributes
+    0, though a kernel may be inf or nan there."""
+    col = {k: j for j, k in enumerate(deps)}
 
     def weighted(v):
-        return (v if zero is None else np.where(zero, 0.0, v)) * Wl
-    out = np.zeros((len(Wl), len(deps)))
+        u = v.reshape(-1, len(Wl), v.shape[-1])
+        if zero is not None:
+            u = np.where(zero, 0.0, u)
+        return (u * Wl).reshape(len(v), -1)
+    out = np.zeros((len(dl), len(deps)))
     for k, v in dap.items():
         out[:, col[k]] = np.sum(weighted(v), axis=-1)
     G = weighted(dl)
@@ -788,23 +794,28 @@ def _bhhh_start(G, n):
     """The BFGS start matrix: (G'G)^-1, the inverse of the outer product
     of the per-cluster scores G (Berndt, Hall, Hall & Hausman 1974), and
     a description for the debug record; I, and the reason, where there is
-    no G (the gradient fell back to central differences), G'G is not finite
-    (G is finite wherever its sum is, but G'G may overflow) or G'G is not
-    positive definite (fewer clusters than parameters, or a parameter that
-    moves no cluster's log L)."""
+    no G (the gradient fell back to central differences), G has fewer rows
+    than columns (G'G is singular, though rounding may let its Cholesky
+    factorisation succeed), G'G is not finite (G is finite wherever its sum
+    is, but G'G may overflow) or G'G is not positive definite to working
+    precision: its smallest eigenvalue is at most n eps times its largest
+    (a parameter that moves no cluster's log L)."""
     if G is None:
         return np.eye(n), "identity (central-difference gradient)"
+    if len(G) < n:
+        return np.eye(n), "identity (fewer clusters than parameters)"
     with np.errstate(over="ignore", invalid="ignore"):
         B = G.T @ G
     if not np.all(np.isfinite(B)):
         return np.eye(n), "identity (outer product not finite)"
-    try:
-        L = np.linalg.cholesky(B)
-    except np.linalg.LinAlgError:
-        return np.eye(n), "identity (outer product not positive definite)"
-    Linv = np.linalg.inv(L)
     eig = np.linalg.eigvalsh(B)  # as _vcov does; np.linalg.cond's SVD adds 0.4 MB of RSS
-    return Linv.T @ Linv, f"BHHH, condition number {eig[-1] / eig[0]:.6g}"
+    if eig[0] > eig[-1] * n * np.finfo(float).eps:
+        try:
+            Linv = np.linalg.inv(np.linalg.cholesky(B))
+            return Linv.T @ Linv, f"BHHH, condition number {eig[-1] / eig[0]:.6g}"
+        except np.linalg.LinAlgError:
+            pass
+    return np.eye(n), "identity (outer product not positive definite)"
 
 
 def _bfgs(engine, x0, f0, max_iter: int):
@@ -1082,14 +1093,23 @@ def fit_from_json(text: str) -> FitResult:
     )
 
 
+def _wald(est, se):
+    """z statistics, two-sided normal p-values and 95% intervals; z is NaN
+    where the standard error is not positive.  ndtr(-|z|) and ndtri are
+    the bits of scipy.stats.norm.sf(|z|) and norm.ppf without loading
+    scipy.stats."""
+    from scipy.special import ndtr, ndtri
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(se > 0, est / se, np.nan)
+    crit = ndtri(0.975)
+    return z, 2.0 * ndtr(-np.abs(z)), est - crit * se, est + crit * se
+
+
 def summary_table(fit: FitResult) -> str:
     """Aligned coefficient table with z tests and 95% intervals."""
     se = fit.std_errors()
     est = fit.estimates
-    z = np.where(se > 0, est / se, np.nan)
-    p = 2.0 * norm.sf(np.abs(z))
-    crit = norm.ppf(0.975)
-    lo, hi = est - crit * se, est + crit * se
+    z, p, lo, hi = _wald(est, se)
     width = max(len(l) for l in fit.labels) if fit.labels else 5
     lines = ["Mixed effects regression model",
              f"Log likelihood = {fit.loglik:.4f}", ""]

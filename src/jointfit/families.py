@@ -24,9 +24,20 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, gammaln
 
 LOG_2PI = np.log(2.0 * np.pi)
+
+
+# scipy's ufuncs, imported on the first call, so that a model without a
+# logit, count or beta family never loads scipy
+def expit(x):
+    from scipy.special import expit
+    return expit(x)
+
+
+def gammaln(x):
+    from scipy.special import gammaln
+    return gammaln(x)
 
 
 @dataclass(frozen=True)

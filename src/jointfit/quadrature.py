@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 # output values per stacked time-integrand call: a block holds as many
 # nodes as fit, sized before the first call from the rows and the width the
@@ -165,6 +163,8 @@ def qmc_nodes(method: str, n: int, r: int, seed: int = 0) -> NodeSet:
         raise ValueError(f"QMC/MC integration needs at least {IP_RANGE['mc'][0]} points")
     if r < 1:
         raise ValueError("dimension must be >= 1")
+    from scipy.special import ndtri  # scipy is loaded only for these node sets
+    from scipy.stats import qmc
     if method in ("halton", "sobol"):
         engine = qmc.Halton if method == "halton" else qmc.Sobol
         u = engine(d=r, scramble=False).random(n + 1)[1:]

@@ -5,7 +5,8 @@ LikelihoodEngine.cluster_scores gives each top-level cluster's score,
 whose sum is the score bit for bit on every chunk partition.  _bfgs starts
 from (G'G)^-1 of the scores at the start values, and from I, with the
 reason in its debug record, where the start gradient fell back to central
-differences or G'G is not finite or not positive definite; the fit still
+differences, there are fewer clusters than parameters, or G'G is not
+finite or not positive definite to working precision; the fit still
 converges from I.
 """
 
@@ -19,7 +20,7 @@ from jointfit import estimation
 from jointfit.estimation import LikelihoodEngine, _bhhh_start, start_values
 
 from conftest import fit_spec, make_dataset, sim_lmm
-from test_batch import _engine
+from test_batch import MODELS, _engine
 
 SPEC = "levels = id\ngaussian : y ~ x + M1[id]*1"
 
@@ -130,6 +131,32 @@ def test_outer_product_not_finite_starts_from_identity():
     Hinv, start = _bhhh_start(G, 2)
     assert np.array_equal(Hinv, np.eye(2))
     assert start == "identity (outer product not finite)"
+
+
+def test_fewer_clusters_than_parameters_starts_from_identity(caplog):
+    # 8 clusters, 10 parameters: G'G has rank 8 at most, though its Cholesky
+    # factorisation may succeed by rounding
+    spec_text, make_data, _, _ = MODELS["iev"]
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="jointfit.estimation"):
+        with pytest.warns(RuntimeWarning, match="no standard errors"):
+            fit = fit_spec(spec_text, make_data())
+    records = [r.getMessage() for r in caplog.records if r.name == "jointfit.estimation"]
+    assert records[1] == "start: identity (fewer clusters than parameters)"
+    assert fit.converged
+    assert fit.loglik == pytest.approx(-23.5568, abs=5e-5)
+
+
+def test_rank_deficient_outer_product_starts_from_identity():
+    # a third score column that is a combination of the other two: the
+    # smallest eigenvalue of G'G is rounding error, of either sign, and on
+    # some of these the Cholesky factorisation succeeds
+    for seed in range(40):
+        G = np.random.default_rng(seed).normal(size=(20, 3))
+        G[:, 2] = 0.1 * G[:, 0] + 0.3 * G[:, 1]
+        Hinv, start = _bhhh_start(G, 3)
+        assert np.array_equal(Hinv, np.eye(3))
+        assert start == "identity (outer product not positive definite)"
 
 
 def test_resets_are_counted(monkeypatch, caplog):

@@ -84,6 +84,17 @@ class TestBuildLevels:
         assert np.array_equal(li.cluster_rows[1], [2, 3, 4])
         assert np.array_equal(li.row_cluster, [0, 0, 1, 1, 1])
 
+    def test_cluster_rows_match_per_cluster_scan(self):
+        # shuffled labels, clusters of 1 to 9 rows, codes with gaps
+        rng = np.random.default_rng(4)
+        labels = rng.permutation(np.repeat(rng.choice(5000, 400, replace=False),
+                                           rng.integers(1, 10, 400)))
+        li = make_dataset({"id": labels}, levels=("id",)).level_index["id"]
+        assert li.n_clusters == 400
+        for k, rows in enumerate(li.cluster_rows):
+            want = np.flatnonzero(li.row_cluster == k)
+            assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
+
     def test_no_levels_means_no_index(self):
         d = make_dataset({"x": [1.0, 2.0]})
         assert d.level_index == {}
