@@ -112,6 +112,7 @@ def build_levels(d: Dataset, levels: tuple[str, ...]) -> Dataset:
     cluster must be nested within exactly one higher-level cluster.
     """
     index: dict[str, LevelIndex] = {}
+    first = {}  # per level, the first row of each cluster
     for name in levels:
         col = d.column(name)
         if np.any(np.isnan(col)):
@@ -121,16 +122,20 @@ def build_levels(d: Dataset, levels: tuple[str, ...]) -> Dataset:
         codes, inverse = np.unique(col.astype(np.int64), return_inverse=True)
         # each cluster's rows in row order: one stable sort, split by size
         bounds = np.cumsum(np.bincount(inverse, minlength=len(codes)))[:-1]
-        rows = np.split(np.argsort(inverse, kind="stable"), bounds)
-        index[name] = LevelIndex(name, inverse, rows)
+        order = np.argsort(inverse, kind="stable")
+        index[name] = LevelIndex(name, inverse, np.split(order, bounds))
+        first[name] = order[np.concatenate(([0], bounds))]
     for hi, lo in zip(levels, levels[1:]):
-        hi_of_row = index[hi].row_cluster
-        for k, rows in enumerate(index[lo].cluster_rows):
-            parents = np.unique(hi_of_row[rows])
-            if len(parents) > 1:
-                raise DataError(
-                    f"cluster {k} of level {lo!r} spans {len(parents)} clusters of level {hi!r}"
-                )
+        # a lower-level cluster is nested when each of its rows has the
+        # parent of its first row
+        hi_of_row, lo_of_row = index[hi].row_cluster, index[lo].row_cluster
+        split = hi_of_row != hi_of_row[first[lo][lo_of_row]]
+        if np.any(split):
+            k = int(np.min(lo_of_row[split]))
+            parents = np.unique(hi_of_row[index[lo].cluster_rows[k]])
+            raise DataError(
+                f"cluster {k} of level {lo!r} spans {len(parents)} clusters of level {hi!r}"
+            )
     return Dataset(d.columns, d.n_rows, tuple(levels), index)
 
 

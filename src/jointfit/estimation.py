@@ -9,8 +9,9 @@ within PASS_DOUBLES, and at least one.  A cluster's value does not depend
 on how the clusters are split.
 
 Each chunk keeps one quadrature.Frame per submodel, of its observed rows,
-times and responses, in which the evaluator keeps every value that does
-not depend on the parameters, so each is computed once per fit.
+times and responses, in which the evaluator keeps the submodel designs it
+compiles there (evaluator.Design), so every value that does not depend on
+the parameters is computed once per fit.
 
 Within a chunk the submodels' per-row contributions on the full node grid
 are summed per row, then reduced one level at a time, lowest first.  Each
@@ -32,10 +33,13 @@ XB[], and the rows need no bhazard or correlation parameter, a
 submodel's row derivatives are closed form, from one routine
 (LikelihoodEngine._row_terms) for both the score and the observed
 information: the derivatives of l in g = eta + off (Evaluator.eta_gradient
-through the links' targets) and in the ancillaries, where a cumulative
-hazard integrated over time nodes contributes the node sums of its
-one-point evaluation's node blocks.  Every other submodel's rows are
-differenced centrally in the parameters they depend on only, so a
+through the links' targets, read from the designs) and in the
+ancillaries, where a cumulative hazard integrated over time nodes
+contributes the node sums of its one-point evaluation's node blocks.  The
+score takes the derivatives of a block of coefficients, a factor over the
+nodes times design rows, by summing the factor over the nodes once.
+Every other submodel's rows are differenced centrally in the parameters
+they depend on only, so a
 coefficient of one submodel re-evaluates that submodel alone.  A
 one-point evaluation keeps its reduction, so the score at the point the
 line search has just accepted does not evaluate it again.  Where the
@@ -69,7 +73,7 @@ import numpy as np
 
 from . import families
 from .data import DataError, Dataset, response_view
-from .evaluator import TIME_GL_POINTS, Evaluator
+from .evaluator import TIME_GL_POINTS, EtaGradient, Evaluator
 from .formula import ModelSpec, format_spec
 from .quadrature import CovarianceParam, NodeSet, integrate_to, level_nodes, transform_nodes
 
@@ -395,7 +399,8 @@ class LikelihoodEngine:
         n = len(x)
         if not all(np.all(np.isfinite(W)) for W, _ in weights):
             return np.full((self.n_clusters, n), np.nan)
-        points, h = _gradient_points(x, GRAD_STEP)
+        if not all(self.analytic):
+            points, h = _gradient_points(x, GRAD_STEP)
         S = [np.zeros((len(chunk["rows"]), n)) for chunk in self.chunks]
         for i, deps in enumerate(self.deps):
             if self.analytic[i]:
@@ -515,7 +520,8 @@ class LikelihoodEngine:
             return {(ap_idx[a], ap_idx[b]): v for (a, b), v in zip(_pairs(len(ap_idx)), values)}
 
         def derivatives(frame):
-            # eta, d eta and, with second, d2 eta ({} without)
+            # eta, d eta (an EtaGradient) and, with second, d2 eta ({}
+            # without)
             if second:
                 return self.ev.eta_gradient(x, i, frame, draws, second=True)
             return (*self.ev.eta_gradient(x, i, frame, draws), {})
@@ -527,8 +533,8 @@ class LikelihoodEngine:
             dap = dict(zip(ap_idx, dap))
             if not second:
                 return _score_rows(Wl, zero, dg, dl, dap, deps)
-            return _louis_rows(Wl if k == 1 else np.tile(Wl, (k, 1)), dg, d2g, dl, dap, dll,
-                               dict(zip(ap_idx, dla)), by_pair(daa), deps)
+            return _louis_rows(Wl if k == 1 else np.tile(Wl, (k, 1)), dg.dense(), d2g, dl, dap,
+                               dll, dict(zip(ap_idx, dla)), by_pair(daa), deps)
         zero = None if second or np.all(Wl) else Wl == 0
         eta, dg, d2g = derivatives(at)
         if not fam.survival:
@@ -547,7 +553,8 @@ class LikelihoodEngine:
             return pack(1, dg, d2g, d - H, dap, -H, [-v for v in dc], daa)
 
         def fold(u, dg, d2g):
-            dg = {**dg, **dict(zip(ap_idx, fam.log_hazard_d(u, ap)))}
+            dg = EtaGradient({**dg.single, **dict(zip(ap_idx, fam.log_hazard_d(u, ap)))},
+                             dg.blocks)
             return dg, {**d2g, **by_pair(fam.log_hazard_d2(u, ap))} if second else d2g
 
         def node_terms(block):
@@ -568,10 +575,15 @@ def _score_rows(Wl, zero, d_eta, dl, dap, deps) -> np.ndarray:
     """Row scores (rows, len(deps)) in the order of deps, from the node
     weights Wl of a frame's rows, which the terms' rows repeat node-major
     for a stack of node blocks: sum_q Wl dl d eta/d theta for a parameter
-    of d_eta, with a derivative without random effects ((rows, 1)) taken
-    out of the node sum, and sum_q Wl dl/dap for an ancillary of dap.  A
-    node of weight 0 (zero: Wl == 0, None where there is none) contributes
-    0, though a kernel may be inf or nan there."""
+    of d_eta (an EtaGradient), with a derivative without random effects
+    ((rows, 1)) taken out of the node sum, and sum_q Wl dl/dap for an
+    ancillary of dap.  A block of coefficients F X contracts its factor F
+    over the nodes once and takes all its rows X in one product.  Each node
+    sum is one einsum per row, so a row's score does not depend on the
+    rows beside it; the scores are formed a parameter at a time, as the
+    rows of their transpose.  A node of weight 0 (zero: Wl == 0, None
+    where there is none) contributes 0, though a kernel may be inf or nan
+    there."""
     col = {k: j for j, k in enumerate(deps)}
 
     def weighted(v):
@@ -579,14 +591,26 @@ def _score_rows(Wl, zero, d_eta, dl, dap, deps) -> np.ndarray:
         if zero is not None:
             u = np.where(zero, 0.0, u)
         return (u * Wl).reshape(len(v), -1)
-    out = np.zeros((len(dl), len(deps)))
+    out = np.zeros((len(deps), len(dl)))
     for k, v in dap.items():
-        out[:, col[k]] = np.sum(weighted(v), axis=-1)
+        out[col[k]] = np.einsum("ij->i", weighted(v))
     G = weighted(dl)
-    G_rows = np.sum(G, axis=-1)
-    for k, v in d_eta.items():
-        out[:, col[k]] = G_rows * v[:, 0] if v.shape[1] == 1 else np.sum(G * v, axis=-1)
-    return out
+    G_rows = np.einsum("ij->i", G)
+
+    def contract(v):
+        # sum_q G v for v (n, 1), (1, nq) or (n, nq)
+        if v.shape[1] == 1:
+            return G_rows * v[:, 0]
+        return np.einsum("ij,j->i", G, v[0]) if len(v) == 1 else np.einsum("ij,ij->i", G, v)
+    for k, v in d_eta.single.items():
+        out[col[k]] += contract(v)
+    for F, X, ks in d_eta.blocks:
+        # a block's parameters are one submodel's coefficients, adjacent
+        # in deps
+        a = col[ks[0]]
+        rows = slice(a, a + len(ks)) if col[ks[-1]] == a + len(ks) - 1 else [col[k] for k in ks]
+        out[rows] += X * (G_rows if F is None else contract(F))
+    return out.T
 
 
 def _louis_rows(Wl, d_eta, d2_eta, dl, dap, dll, dla, daa, deps) -> np.ndarray:

@@ -7,10 +7,19 @@ including cross-submodel EV/XB links.  Also assembles the per-observation
 log-likelihood matrices used by the estimation engine.
 
 Every evaluation takes a quadrature.Frame, the rows and times to evaluate
-at.  A kept frame (one per chunk and submodel of the likelihood engine)
-keeps basis columns and the time variable per element and order and,
-except on a node block, each column's static values; link values depend
-on the parameters and are never kept.  A transient frame keeps nothing.
+at, and reads the submodel's Design on it for the order (value, d1, d2 or
+integral), compiled from its columns on first use: the columns with
+neither random effects nor a link as one matrix of static values times
+time factors (or their derivative or integral), summed with the
+coefficients in column order; the random-effect columns, the same narrow
+values times the draws; and the link columns, whose link values depend on
+the parameters and are evaluated on each call.  A design holds no value
+that depends on the parameters.  A kept frame (one per chunk and
+submodel of the likelihood engine, and its node blocks) keeps its
+designs; a transient frame compiles them on each call and keeps nothing.
+eta_gradient reads the same design: a fixed coefficient's derivative is
+its design row, and a link target's coefficients keep a factored form
+(EtaGradient).
 
 Parameters come as a vector (p,), one point; random-effect draws as one
 (nq,) array per random effect, and every result has nq columns (1 without
@@ -69,10 +78,25 @@ def _product_deriv(tf, factor, order):
     return d2 if second else d1
 
 
+def _times(a, b):
+    """a * b, where None stands for 1."""
+    if a is None:
+        return b
+    return a if b is None else a * b
+
+
+def _widen(acc, draws):
+    """A predictor sum (n, 1) or (n, nq) as (n, nq)."""
+    if acc.shape[1] > 1 or not draws:
+        return acc
+    nq = node_width(draws)
+    return acc if nq == 1 else np.repeat(acc, nq, axis=1)
+
+
 @dataclass
 class Column:
     factors: list[tuple[Element, int | None]]
-    static: np.ndarray                      # (n_rows,) time-constant product
+    static: np.ndarray | None               # (n_rows,) time-constant product, None for 1
     re_names: list[str]
     time_factors: list[tuple[Element, int | None]]
     constrained: bool
@@ -86,6 +110,106 @@ class SubInfo:
     columns: list[Column]
     ap_idx: list[int] = field(default_factory=list)
     has_time: bool = False
+
+
+class Wide:
+    """A design column with random effects or a link, evaluated per call.
+    narrow, (n, 1) or None for 1, is its static values times its time
+    factors other than links, or their derivative or integral at that
+    order; re_names, param (None: coefficient 1) and the link elements are
+    its Column's.  A link column at an order other than value keeps its
+    time factors tf, whose product rule or integral is taken per call,
+    and narrow then holds its static values alone.  (A plain class: a
+    dataclass costs 0.5 ms of import.)"""
+    __slots__ = ("narrow", "re_names", "param", "links", "tf")
+
+    def __init__(self, narrow, re_names, param, links, tf=None):
+        self.narrow, self.re_names, self.param = narrow, re_names, param
+        self.links, self.tf = links, tf
+
+
+class Design:
+    """A submodel's predictor compiled on a frame for one order; it holds
+    no value that depends on the parameters.
+
+    X (k, n) holds the columns with neither random effects nor a link, in
+    column order: their static values times their time factors, or the
+    factors' derivative or integral.  coef (k,) gives each row's parameter
+    index, unit marks the constrained rows (coefficient 1; None without
+    any).  The first lead rows come before the first wide column; tail
+    holds the rest in column order, each a row index of X or a Wide
+    column.  free_X and free_params are the rows with a parameter."""
+
+    def __init__(self, narrow, coef, lead, tail, n):
+        self.X = np.empty((len(narrow), n))
+        for row, v in zip(self.X, narrow):
+            row[:] = 1.0 if v is None else v[:, 0]
+        unit = np.asarray([k is None for k in coef], dtype=bool)
+        self.coef = np.asarray([0 if k is None else k for k in coef], dtype=int)
+        self.unit = unit if unit.any() else None
+        self.lead, self.tail = lead, tail
+        self.wide = [w for w in tail if isinstance(w, Wide)]
+        self.free_X = self.X if self.unit is None else self.X[~unit]
+        self.free_params = [k for k in coef if k is not None]
+
+    def beta(self, params):
+        """The coefficient of each row of X at a point."""
+        b = np.asarray(params)[self.coef]
+        if self.unit is not None:
+            b[self.unit] = 1.0
+        return b
+
+    def lead_sum(self, beta):
+        """The sum of the lead rows of X times their coefficients, added
+        in row order, (n, 1)."""
+        X = self.X
+        if not self.lead:
+            return np.zeros((X.shape[1], 1))
+        acc = X[0] * beta[0]
+        for j in range(1, self.lead):
+            acc += X[j] * beta[j]
+        return acc[:, None]
+
+    @property
+    def nbytes(self) -> int:
+        arrays = [self.X, *(w.narrow for w in self.wide if w.narrow is not None)]
+        return sum(a.nbytes for a in arrays) + (self.free_X is not self.X) * self.free_X.nbytes
+
+
+class EtaGradient:
+    """d eta / d theta on a frame: single[k], one parameter's derivative,
+    (n, 1), (1, nq) or (n, nq); and blocks (F, X, ks), F (n, 1), (1, nq) or
+    (n, nq) (None for 1) times each row X[j] (n,), the derivative in
+    parameter ks[j]: a design's rows, or one narrow factor.  A parameter's
+    derivative is the sum of its terms."""
+
+    def __init__(self, single=None, blocks=None):
+        self.single = {} if single is None else single
+        self.blocks = [] if blocks is None else blocks
+
+    def add(self, k, v):
+        self.single[k] = self.single[k] + v if k in self.single else v
+
+    def extend(self, other, factor):
+        """Add other's derivatives, each times factor (None for 1).  A
+        derivative (1, nq), the same on every row, times an (n, 1) factor
+        stays factored as a block."""
+        for k, g in other.single.items():
+            if factor is not None and factor.shape[1] == 1 < g.shape[1] and len(g) == 1:
+                self.blocks.append((g, factor.T, [k]))
+            else:
+                self.add(k, _times(factor, g))
+        for F, X, ks in other.blocks:
+            self.blocks.append((_times(factor, F), X, ks))
+
+    def dense(self) -> dict[int, np.ndarray]:
+        """Each parameter's derivative as one array."""
+        out = dict(self.single)
+        for F, X, ks in self.blocks:
+            for k, x in zip(ks, X):
+                v = _times(F, x[:, None])
+                out[k] = out[k] + v if k in out else v
+        return out
 
 
 class ParamLayout:
@@ -132,7 +256,7 @@ class Evaluator:
                 columns.extend(self._expand_component(i, j, sub, comp, rv, given_bases))
             if sub.intercept:
                 columns.append(Column(
-                    factors=[], static=np.ones(data.n_rows), re_names=[],
+                    factors=[], static=None, re_names=[],
                     time_factors=[], constrained=False, label="_cons",
                 ))
             info = SubInfo(rv=rv, columns=columns)
@@ -182,7 +306,7 @@ class Evaluator:
         cols = []
         multi = len(combos) > 1
         for idx, factors in enumerate(combos):
-            static = np.ones(data.n_rows)
+            static = None
             re_names, time_factors, labels = [], [], []
             for el, bi in factors:
                 if el.kind == "re":
@@ -199,13 +323,13 @@ class Evaluator:
                     continue
                 # time-constant factor
                 if el.kind == "variable":
-                    static = static * data.column(el.var)
+                    static = _times(static, data.column(el.var))
                     labels.append(el.var)
                 elif el.kind == "exposure_log":
-                    static = static * np.log(data.column(el.var))
+                    static = _times(static, np.log(data.column(el.var)))
                     labels.append(f"exposure({el.var})")
                 elif el.kind in ("rcs", "fp"):
-                    static = static * self._static_basis_col(el, bi)
+                    static = _times(static, self._static_basis_col(el, bi))
                     labels.append(f"{el.kind}()")
                 else:
                     raise EvalError(f"unexpected element kind {el.kind!r}")
@@ -264,21 +388,69 @@ class Evaluator:
     def n_params(self) -> int:
         return self.layout.n_params
 
-    def _factor(self, params, el, at, draws, order, calls):
-        """Every column of one time-varying element on a frame: (n, df) for
-        a spline/fp basis, (n, 1) for the time variable, (n, nq) for a link.
-        Kept by a kept frame, except link values, which go to the per-call
-        table calls with every value of a transient frame."""
-        table = calls if el.kind == "link" or at.kept is None else at.kept
-        key = (id(el), order)
-        if key not in table:
-            table[key] = self._factor_values(params, el, at, draws, order)
-        return table[key]
+    def _design(self, sub_idx, at: Frame, order) -> Design:
+        """The submodel's design on a frame for one order, kept by a kept
+        frame."""
+        return at.keep(("design", sub_idx, order), lambda: self._compile(sub_idx, at, order))
 
-    def _factor_values(self, params, el, at, draws, order):
-        if el.kind == "link":
-            return self._link_eval(params, el, at, draws, order)
-        t = at.t
+    def _compile(self, sub_idx, at: Frame, order) -> Design:
+        """Compile the submodel's columns on a frame for one order (Design).
+        Each time factor is evaluated once per order, for every column that
+        uses it; a derivative skips a column without time factors (0)."""
+        rows, t = at.rows, at.t
+        table = {}
+
+        def factor(el, bi, forder):
+            key = (id(el), forder)
+            if key not in table:
+                table[key] = self._time_values(el, t, forder)
+            return _column(table[key], bi)
+        narrow, coef, lead, tail = [], [], 0, []
+        for col in self.subs[sub_idx].columns:
+            tf = col.time_factors
+            if tf and t is None:
+                raise EvalError("time-dependent component evaluated without a time")
+            s = None if col.static is None else col.static[rows][:, None]
+            links = [el for el, _ in tf if el.kind == "link"]
+            if links and order != "value":
+                tail.append(Wide(s, col.re_names, col.param, links, tf))
+                continue
+            if order == "value":
+                v = s
+                for el, bi in tf:
+                    if el.kind != "link":
+                        v = _times(v, factor(el, bi, "value"))
+            elif order in ("d1", "d2"):
+                if not tf:
+                    continue
+                v = _times(s, _product_deriv(tf, factor, order))
+            elif not tf:
+                v = _times(s, t[:, None])
+            elif len(tf) == 1:
+                v = _times(s, factor(*tf[0], "integral"))
+            else:
+                def product(block):
+                    out = None
+                    for el, bi in tf:
+                        out = _times(out, _column(self._time_values(el, block.t, "value"), bi))
+                    return out
+                # the nodes are needed once: a transient frame keeps none
+                v = _times(s, integrate_to(product, Frame(rows, t), TIME_GL_POINTS, 1))
+            if col.re_names or links:
+                tail.append(Wide(v, col.re_names, col.param, links))
+                continue
+            narrow.append(v)
+            coef.append(col.param)
+            if tail:
+                tail.append(len(narrow) - 1)
+            else:
+                lead += 1
+        return Design(narrow, coef, lead, tail, len(rows))
+
+    def _time_values(self, el, t, order):
+        """Every column of a time-varying element other than a link at
+        times t: (n, df) for a spline/fp basis, (n, 1) for the time
+        variable."""
         if el.kind == "variable":
             if order == "value":
                 out = t
@@ -290,6 +462,14 @@ class Evaluator:
                 out = 0.5 * t**2
             return out[:, None]
         return self.basis_of[id(el)].eval(t, order)
+
+    def _link(self, params, el, at, draws, order, calls):
+        """A link element's values on a frame, (n, nq), evaluated once per
+        call: calls is the call's table."""
+        key = (id(el), order)
+        if key not in calls:
+            calls[key] = self._link_eval(params, el, at, draws, order)
+        return calls[key]
 
     def _link_eval(self, params, el, at, draws, order):
         base = _LINK_BASE[el.link_kind]
@@ -318,45 +498,88 @@ class Evaluator:
                                     at, TIME_GL_POINTS, node_width(draws))
         return raw(_NUM_ORDER[total])
 
+    @staticmethod
+    def _base(w, draws):
+        """A wide column's narrow part times its random-effect draws."""
+        if not w.re_names:
+            return w.narrow
+        r = draws[w.re_names[0]]
+        for name in w.re_names[1:]:
+            r = r * draws[name]
+        return r[None, :] if w.narrow is None else w.narrow * r[None, :]
+
+    def _wide_value(self, params, w, at, draws, order, calls):
+        """A wide column's value on a frame without its coefficient, at the
+        design's order.  A link column's derivative or integral evaluates
+        its other time factors on each call."""
+        base = self._base(w, draws)
+        if w.tf is None:
+            v = base
+            for el in w.links:
+                v = _times(v, self._link(params, el, at, draws, "value", calls))
+            return v
+
+        def factor(el, bi, forder, fr=at, fcalls=calls):
+            if el.kind == "link":
+                return self._link(params, el, fr, draws, forder, fcalls)
+            return _column(self._time_values(el, fr.t, forder), bi)
+        if order != "integral":
+            return _times(base, _product_deriv(w.tf, factor, order))
+        if len(w.tf) == 1:
+            return _times(base, factor(*w.tf[0], "integral"))
+
+        def product(block):
+            out, block_calls = None, {}
+            for el, bi in w.tf:
+                out = _times(out, factor(el, bi, "value", block, block_calls))
+            return out
+        return _times(base, integrate_to(product, at, TIME_GL_POINTS, node_width(draws)))
+
     def eta(self, params, sub_idx, at: Frame, draws, order="value"):
         """Complex predictor (or its time derivative/integral) on a frame:
-        (n, nq).
-
-        Each time-varying element is evaluated once per call, for every
-        column that uses it; a kept frame keeps the values that do not
-        depend on the parameters for later calls."""
-        nq = node_width(draws)
-        acc = np.zeros((len(at.rows), nq))
-        for col, _, v in self._column_values(params, sub_idx, at, draws, nq, order, {}):
-            coef = 1.0 if col.param is None else params[col.param]
-            acc = acc + coef * v
-        return acc
+        (n, nq), from the submodel's design for the order.  Its columns
+        are added in column order: the narrow ones before the first wide
+        one as (n, 1), the rest to the widened sum."""
+        d = self._design(sub_idx, at, order)
+        beta, calls = d.beta(params), {}
+        acc = d.lead_sum(beta)
+        for item in d.tail:
+            if isinstance(item, Wide):
+                v = self._wide_value(params, item, at, draws, order, calls)
+                acc = acc + (v if item.param is None else params[item.param] * v)
+            else:
+                acc = acc + beta[item] * d.X[item][:, None]
+        return _widen(acc, draws)
 
     def eta_gradient(self, params, sub_idx, at: Frame, draws, second=False):
         """eta on a frame, with the bits of eta(), and d eta / d theta for
-        each parameter of the predictor, (n, 1) or (n, nq) by parameter
-        index: a coefficient's column value; for log_sd(Mk) the sum of
-        coef x column value over the columns that use Mk, once per use,
-        since d b_k / d log_sd_k = b_k under every covariance structure;
-        and for a parameter of an EV[]/XB[] link target, nested to any
-        depth, the column's coefficient times its other factors times
-        d eta_target / d theta, and times mean_d1(eta_target) for EV[].
-        The target's eta and gradient come from one recursive call, its
-        link value is mean_value of that eta (the bits of expval), and
-        the other factors are multiplied out, never divided out of the
-        column value, which can be 0.  The atanh_corr parameters and the
-        other link kinds are not covered.
+        each parameter of the predictor (EtaGradient): the fixed
+        coefficients' derivatives are their design rows; a wide column's
+        coefficient has the column's value; log_sd(Mk) the sum of coef x
+        column value over the columns that use Mk, once per use, since
+        d b_k / d log_sd_k = b_k under every covariance structure; and a
+        parameter of an EV[]/XB[] link target, nested to any depth, the
+        column's coefficient times its other factors times d
+        eta_target / d theta, and times mean_d1(eta_target) for EV[]
+        through a link other than the identity.  The target's
+        coefficients keep their factored form, that wide factor times the
+        target's design rows.  The target's eta and gradient come from one
+        recursive call, its link value is mean_value of that eta (the bits
+        of expval), and the other factors are multiplied out, never
+        divided out of the column value, which can be 0.  The atanh_corr
+        parameters and the other link kinds are not covered.
 
         With second, also the nonzero d2 eta / d theta d theta', by
         parameter pair (k, l), k <= l (_column_hessian)."""
-        nq = node_width(draws)
+        d = self._design(sub_idx, at, "value")
         calls: dict[tuple[int, str], np.ndarray] = {}
         # id(link element) -> (eta_target gradient, dmu/deta or None, and with
-        # second eta_target's second derivatives and d2mu/deta2 or None)
+        # second the dense gradient, eta_target's second derivatives and
+        # d2mu/deta2 or None)
         targets = {}
-        for col in self.subs[sub_idx].columns:
-            for el, _ in col.time_factors:
-                if el.kind != "link" or id(el) in targets:
+        for w in d.wide:
+            for el in w.links:
+                if id(el) in targets:
                     continue
                 if el.link_kind not in ("EV", "XB"):
                     raise EvalError(f"no closed-form gradient through {el.link_kind}[]")
@@ -368,72 +591,75 @@ class Evaluator:
                     t_eta, t_grad = self.eta_gradient(params, el.target_index, at, draws)
                 ev = el.link_kind == "EV"
                 calls[(id(el), "value")] = families.mean_value(fam, t_eta) if ev else t_eta
-                targets[id(el)] = t_grad, families.mean_d1(fam, t_eta) if ev else None
+                # through an identity link EV[] has the derivatives of XB[]
+                # (mu' = 1), and a derivative without random effects stays
+                # (n, 1)
+                ev = ev and families.FAMILIES[fam].link is not families.IDENTITY
+                targets[id(el)] = (t_grad, families.mean_d1(fam, t_eta) if ev else None)
                 if second:
-                    # through an identity link EV[] has the derivatives of
-                    # XB[], and a derivative without random effects stays
-                    # (n, 1)
-                    ev = ev and families.FAMILIES[fam].link is not families.IDENTITY
-                    targets[id(el)] = (t_grad, families.mean_d1(fam, t_eta) if ev else None,
-                                       t_hess, families.mean_d2(fam, t_eta) if ev else None)
-        acc = np.zeros((len(at.rows), nq))
-        out: dict[int, np.ndarray] = {}
-        hess: dict[tuple[int, int], np.ndarray] = {}
-
-        def add(k, v):
-            out[k] = out[k] + v if k in out else v
-        for col, base, v in self._column_values(params, sub_idx, at, draws, nq, "value", calls):
-            coef = 1.0 if col.param is None else params[col.param]
-            acc = acc + coef * v
-            if col.param is not None:
-                out[col.param] = v
-            for name in col.re_names:
-                add(self.layout.log_sd_of[name], coef * v)
-            for j, (el, _) in enumerate(col.time_factors):
-                if el.kind != "link":
-                    continue
-                # d/d theta of factor j: coef x the other factors x its own
+                    targets[id(el)] += (t_grad.dense(), t_hess,
+                                        families.mean_d2(fam, t_eta) if ev else None)
+        beta = d.beta(params)
+        acc = d.lead_sum(beta)
+        grad, hess = EtaGradient(), {}
+        if d.free_params:
+            grad.blocks.append((None, d.free_X, d.free_params))
+        for item in d.tail:
+            if not isinstance(item, Wide):
+                acc = acc + beta[item] * d.X[item][:, None]
+                continue
+            coef = None if item.param is None else params[item.param]
+            base = self._base(item, draws)
+            values = [calls[(id(el), "value")] for el in item.links]
+            v = base
+            for value in values:
+                v = _times(v, value)
+            cv = v if coef is None else coef * v
+            acc = acc + cv
+            if coef is not None:
+                grad.add(item.param, v)
+            for name in item.re_names:
+                grad.add(self.layout.log_sd_of[name], cv)
+            for j, el in enumerate(item.links):
+                # d/d theta of link j: coef x the other factors x its own
                 # derivative
-                other = coef * base
-                for m, (fel, fbi) in enumerate(col.time_factors):
+                if coef is None:
+                    other = base
+                else:
+                    other = np.reshape(coef, (1, 1)) if base is None else coef * base
+                for m, value in enumerate(values):
                     if m != j:
-                        other = other * _column(
-                            self._factor(params, fel, at, draws, "value", calls), fbi)
+                        other = _times(other, value)
                 t_grad, dmu = targets[id(el)][:2]
-                if dmu is not None:
-                    other = other * dmu
-                for k, g in t_grad.items():
-                    add(k, other * g)
+                grad.extend(t_grad, _times(other, dmu))
             if second:
-                self._column_hessian(col, coef, base, params, at, draws, calls, targets, hess)
-        return (acc, out, hess) if second else (acc, out)
+                self._column_hessian(item, coef, base, values, targets, hess)
+        eta = _widen(acc, draws)
+        return (eta, grad, hess) if second else (eta, grad)
 
-    def _column_hessian(self, col, coef, base, params, at, draws, calls, targets, hess):
-        """Add one column's d2 / d theta d theta' to hess, by the product
-        rule over its factors that depend on the parameters: the
-        coefficient (d/dcoef = 1), the random-effect draws with the static
-        values (base: d/dlog_sd_k = d2/dlog_sd_k dlog_sd_m = base, as b_k =
+    def _column_hessian(self, w, coef, base, values, targets, hess):
+        """Add one wide column's d2 / d theta d theta' to hess, by the
+        product rule over its factors that depend on the parameters: the
+        coefficient (d/dcoef = 1), the random-effect draws with the narrow
+        part (base: d/dlog_sd_k = d2/dlog_sd_k dlog_sd_m = base, as b_k =
         exp(log_sd_k) z_k) and each EV[]/XB[] link value mu(eta_t), whose
         derivatives are mu' d eta_t and mu'' d eta_t d eta_t' + mu' d2 eta_t
         (mu' = 1, mu'' = 0 for XB[] and an identity link).  Each factor's
         second derivatives times the others, and each pair of factors'
         first derivatives times the rest; a pair's first derivatives in one
-        parameter count twice."""
+        parameter count twice.  A column with only its coefficient adds
+        nothing."""
         groups, fixed = [], 1.0  # (value, gradient, second derivatives); the rest
-        if col.param is not None:
-            groups.append((coef, {col.param: 1.0}, {}))
-        if col.re_names:
-            ls = sorted(self.layout.log_sd_of[name] for name in col.re_names)
+        if coef is not None:
+            groups.append((coef, {w.param: 1.0}, {}))
+        if w.re_names:
+            ls = sorted(self.layout.log_sd_of[name] for name in w.re_names)
             groups.append((base, dict.fromkeys(ls, base),
                            {(a, b): base for n, a in enumerate(ls) for b in ls[n:]}))
-        else:
+        elif base is not None:
             fixed = base
-        for el, bi in col.time_factors:
-            value = _column(self._factor(params, el, at, draws, "value", calls), bi)
-            if el.kind != "link":
-                fixed = fixed * value
-                continue
-            t_grad, dmu, t_hess, d2mu = targets[id(el)]
+        for el, value in zip(w.links, values):
+            _, dmu, t_grad, t_hess, d2mu = targets[id(el)]
             if dmu is None:
                 groups.append((value, t_grad, t_hess))
                 continue
@@ -462,60 +688,8 @@ class Evaluator:
             for b in range(a + 1, len(groups)):
                 r = rest(a, b)
                 for k, u in grad_a.items():
-                    for l, w in groups[b][1].items():
-                        add(k, l, (2.0 if k == l else 1.0) * r * u * w)
-
-    def _column_values(self, params, sub_idx, at: Frame, draws, nq, order, calls):
-        """Each column of the predictor with its base (static x draws) and
-        its value on the frame without the coefficient, or its time
-        derivative/integral; a derivative of a time-constant column (0) is
-        skipped.  Each time-varying element is evaluated once, for every
-        column that uses it; calls is the table of this call's link and
-        transient values, which the caller may have filled."""
-        info = self.subs[sub_idx]
-        rows, t = at.rows, at.t
-
-        def factor(el, bi, forder):
-            return _column(self._factor(params, el, at, draws, forder, calls), bi)
-
-        def make_statics():  # not kept on a node block: one copy per node
-            return [col.static[rows] for col in info.columns]
-        statics = make_statics() if at.block else at.keep(("static", sub_idx), make_statics)
-        for col, s in zip(info.columns, statics):
-            if col.re_names:
-                r = np.ones(nq)
-                for name in col.re_names:
-                    r = r * draws[name]
-                base = s[:, None] * r[None, :]
-            else:
-                base = s[:, None]
-            tf = col.time_factors
-            if tf and t is None:
-                raise EvalError("time-dependent component evaluated without a time")
-            if order == "value":
-                v = base
-                for el, bi in tf:
-                    v = v * factor(el, bi, "value")
-            elif order in ("d1", "d2"):
-                if not tf:
-                    continue
-                v = base * _product_deriv(tf, factor, order)
-            else:  # integral over (0, t]
-                if not tf:
-                    v = base * t[:, None]
-                elif len(tf) == 1:
-                    el, bi = tf[0]
-                    v = base * factor(el, bi, "integral")
-                else:
-                    def prod_val(block):
-                        out, block_calls = None, {}
-                        for el, bi in tf:
-                            fv = _column(self._factor(params, el, block, draws, "value",
-                                                      block_calls), bi)
-                            out = fv if out is None else out * fv
-                        return out
-                    v = base * integrate_to(prod_val, at, TIME_GL_POINTS, nq)
-            yield col, base, v
+                    for l, w2 in groups[b][1].items():
+                        add(k, l, (2.0 if k == l else 1.0) * r * u * w2)
 
     def expval(self, params, sub_idx, at: Frame, draws, order="value"):
         """Expected response of a submodel and its time derivatives/integral."""

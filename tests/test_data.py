@@ -105,6 +105,44 @@ class TestBuildLevels:
         with pytest.raises(jf.DataError, match="spans"):
             jf.build_levels(d, ("p", "c"))
 
+    @staticmethod
+    def loop_nesting_error(d, hi, lo):
+        """Oracle: the per-cluster loop, the text of the DataError for the
+        first lower-level cluster that spans parents, None if nested."""
+        d = jf.build_levels(d, (hi,))
+        hi_of_row = d.level_index[hi].row_cluster
+        _, lo_of_row = np.unique(d.column(lo), return_inverse=True)
+        for k in range(lo_of_row.max() + 1):
+            parents = np.unique(hi_of_row[lo_of_row == k])
+            if len(parents) > 1:
+                return f"cluster {k} of level {lo!r} spans {len(parents)} clusters of level {hi!r}"
+        return None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nesting_check_matches_per_cluster_loop(self, seed):
+        # 40 children of 3-6 rows, 4 per parent, rows shuffled; then one
+        # row of each of 1 + seed children moved to the next parent
+        rng = np.random.default_rng(seed)
+        n_children = 40
+        sizes = rng.integers(3, 7, n_children)
+        child = np.repeat(rng.permutation(n_children) * 3 + 7, sizes) * 1.0
+        parent = np.repeat(np.arange(n_children) // 4, sizes) * 5 + 2.0
+        perm = rng.permutation(len(child))
+        child, parent = child[perm], parent[perm]
+        nested = make_dataset({"p": parent, "c": child})
+        assert self.loop_nesting_error(nested, "p", "c") is None
+        jf.build_levels(nested, ("p", "c"))
+        moved = [np.flatnonzero(child == c)[0]
+                 for c in rng.choice(np.unique(child), 1 + seed, replace=False)]
+        parent = parent.copy()
+        parent[moved] += 5.0
+        split = make_dataset({"p": parent, "c": child})
+        want = self.loop_nesting_error(split, "p", "c")
+        assert want is not None
+        with pytest.raises(jf.DataError) as err:
+            jf.build_levels(split, ("p", "c"))
+        assert str(err.value) == want
+
     def test_nested_two_levels_ok(self):
         d = make_dataset({"p": [10, 10, 20, 20], "c": [1, 1, 2, 3]})
         d = jf.build_levels(d, ("p", "c"))

@@ -1,9 +1,9 @@
 """One table of factor values per predictor evaluation.
 
-Evaluator.eta evaluates each time-varying element once for all the columns
-that use it, and keeps nothing between calls.  The product rule over a
-column's time factors is a running fold; the nested loops below are the
-rule it replaced.
+A submodel's design evaluates each time-varying element once for all the
+columns that use it, and a link once per predictor evaluation.  The
+product rule over a column's time factors is a running fold; the nested
+loops below are the rule it replaced.
 """
 
 import numpy as np

@@ -1,9 +1,9 @@
 """Kept evaluation frames.
 
-The likelihood engine keeps one frame per chunk and submodel; the values
-there that do not depend on the parameters (basis columns, the time
-variable, static design values) are evaluated on first use and reused by
-every later evaluation.  A warm engine must give the same bits as a fresh
+The likelihood engine keeps one frame per chunk and submodel; the
+submodel designs compiled there (basis columns, the time variable and
+static values, which do not depend on the parameters) are built on first
+use and reused by every later evaluation.  A warm engine must give the same bits as a fresh
 one at any parameters, and frames built for predictions keep nothing.
 """
 
@@ -160,3 +160,37 @@ def test_prediction_frames_keep_nothing(monkeypatch):
     for stat in ("cif", "rmst", "hazard"):
         predict_stat(model, PredictRequest(statistic=stat, predmodel=2, type="marginal"))
     assert kept and all(k is None for k in kept)
+
+
+@pytest.mark.filterwarnings("ignore:correlation matrix of dimension 2:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(test_batch.MODELS))
+def test_kept_designs_never_go_stale(monkeypatch, name):
+    # the compiled designs hold no value of the parameters: an engine that
+    # evaluates x1, x2 and x1 again gives a fresh engine's bits at each,
+    # and then eta on each kept frame (and node block) it evaluated, at
+    # each order, has the bits of eta on a transient frame of its rows and
+    # times, at x2
+    spec_text, data = test_batch._model(monkeypatch, name)
+    warm = test_batch._engine(spec_text, data)
+    x1, x2 = test_batch._points(name, warm)[:2]
+    seen = {}
+    eta = Evaluator.eta
+
+    def recorded(self, params, i, at, draws, order="value"):
+        if at.kept is not None:
+            seen[(id(at), i, order)] = at
+        return eta(self, params, i, at, draws, order)
+
+    monkeypatch.setattr(Evaluator, "eta", recorded)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for x in (x1, x2, x1):
+            fresh = test_batch._engine(spec_text, data)
+            assert np.array_equal(warm.cluster_logliks(x), fresh.cluster_logliks(x))
+            assert np.array_equal(warm.score(x), fresh.score(x), equal_nan=True)
+        blocks = [v for c in warm.chunks for _, at in c["subs"] for v in at.kept.values()
+                  if isinstance(v, Frame)]
+        assert seen and any(at.block for at in seen.values()) == bool(blocks)
+        draws = warm.draws(x2)
+        for (_, i, order), at in seen.items():
+            kept = warm.ev.eta(x2, i, at, draws, order)
+            assert np.array_equal(kept, warm.ev.eta(x2, i, Frame(at.rows, at.t), draws, order))

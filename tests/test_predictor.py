@@ -335,3 +335,58 @@ class TestSurvivalCalculus:
         H = ev.cumhazard(p, 0, Frame(np.asarray([0]), t), {})
         S = ev.survival(p, 0, Frame(np.asarray([0]), t), {})
         assert np.allclose(S, np.exp(-H), rtol=0, atol=1e-15)
+
+
+class TestNumpyOracle:
+    """eta of a predictor with every kind of column against a numpy
+    computation from the bases and the data columns alone: an rcs(time) x
+    x interaction, a random intercept and a random slope on x, an EV[]
+    link and an fp(time) term."""
+
+    KNOTS = (0.6, 2.0, 4.5)
+    SPEC = ("levels = id\n"
+            "gaussian : z ~ x + time | timevar=time\n"
+            "gaussian : y ~ rcs(time, knots = c(0.6, 2, 4.5)):x + M1[id]*1 + M2[id]:x*1"
+            " + EV[z] + fp(time, powers = c(0.5)) | timevar=time\n")
+
+    def oracle(self, p, x, t, b1, b2, order):
+        from jointfit.basis import FpBasis, RcsBasis
+        B = RcsBasis(np.asarray(self.KNOTS)).eval(t, order)
+        F = FpBasis((0.5,)).eval(t, order)[:, 0]
+        bx, bt, cz, beta, gamma, phi, c = p
+        spline = B @ beta * x
+        if order == "value":
+            fixed = spline + gamma * (bx * x + bt * t + cz) + phi * F + c
+            return fixed[:, None] + b1[None, :] + b2[None, :] * x[:, None]
+        if order == "d1":
+            return (spline + gamma * bt + phi * F)[:, None]
+        if order == "d2":
+            return (spline + phi * F)[:, None]
+        fixed = spline + gamma * (bx * x * t + 0.5 * bt * t**2 + cz * t) + phi * F + c * t
+        return fixed[:, None] + (b1[None, :] + b2[None, :] * x[:, None]) * t[:, None]
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("order", ["value", "d1", "d2", "integral"])
+    def test_eta_matches_numpy(self, order, keep):
+        rng = np.random.default_rng(3)
+        n = 24
+        data = make_dataset({"id": np.repeat(np.arange(8.0), 3), "x": rng.normal(size=n),
+                             "time": rng.uniform(0.2, 5.0, n), "y": rng.normal(size=n),
+                             "z": rng.normal(size=n)}, levels=("id",))
+        ev = build(self.SPEC, data)
+        labels = ev.layout.labels
+        assert labels[:3] == ["x", "time", "_cons"]
+        assert labels[4:9] == ["rcs():x:1", "rcs():x:2", "EV[]", "fp()", "_cons"]
+        p = rng.uniform(-1.0, 1.0, len(labels))
+        draws = {"M1": np.asarray([-0.7, 0.0, 1.3]), "M2": np.asarray([0.4, -0.2, 0.9])}
+        rows = np.arange(n)
+        t = rng.uniform(0.3, 4.8, n)
+        at = Frame(rows, t, keep=keep)
+        got = ev.eta(p, 1, at, draws, order)
+        if keep:  # the design kept by the first call
+            assert np.array_equal(ev.eta(p, 1, at, draws, order), got)
+        want = self.oracle((p[0], p[1], p[2], p[4:6], p[6], p[7], p[8]),
+                           data.column("x"), t, draws["M1"], draws["M2"], order)
+        want = np.broadcast_to(want, got.shape)
+        assert np.all(np.isfinite(want)) and np.max(np.abs(want)) > 0.1
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))

@@ -228,6 +228,7 @@ def test_eta_gradient(monkeypatch, name):
             at = eng.chunks[0]["subs"][i][1]
             eta, grad = eng.ev.eta_gradient(x, i, at, eng.draws(x))
             assert np.array_equal(eta, eng.ev.eta(x, i, at, eng.draws(x)))
+            grad = grad.dense()  # the blocks of coefficients, one array each
             assert sorted(grad) == sorted(set(eng.deps[i]) - set(eng.ev.subs[i].ap_idx))
             for k, got in grad.items():
                 h = GRAD_STEP * max(1.0, abs(x[k]))
