@@ -21,8 +21,7 @@ above it).  A single np.bincount over flattened (label, node) indices sums
 each cluster's units, adding in unit order from 0 as a scatter-add would,
 and a weighted log-sum-exp over the level's nodes integrates the cluster.
 A model without levels has a one-node grid and no reduction step.  Every
-evaluation is of one parameter point (p,); a (B, p) matrix of points is
-evaluated one point at a time.
+evaluation is of one parameter point (p,).
 
 The optimizer is BFGS, whose gradient is the engine's score: the
 derivative of a cluster's log-likelihood is the posterior-weighted sum of
@@ -60,7 +59,8 @@ scores, the exact Hessian of the likelihood on its fixed nodes, from one
 pass over the chunks at the estimates.  Every other model keeps the
 Hessian of symmetric second differences, whose p^2 + p + 1 points are f
 at the estimates, one step either way on each axis and one step either
-way on each pair of axes.
+way on each pair of axes, each evaluated alone; it gives no standard
+errors where its smallest eigenvalue is within its rounding error.
 """
 
 import json
@@ -147,9 +147,9 @@ class LikelihoodEngine:
         self.analytic = [self._analytic(i) for i in range(len(self.deps))]
         # the standard errors invert the exact information, not the grid
         self.exact_information = all(self.analytic) and len(self.spec.levels) <= 1
-        # total_loglik calls and points, score calls, and gradients that
-        # fell back to central differences of the whole likelihood, so far
-        self.calls = self.points = self.scores = self.fallbacks = 0
+        # total_loglik calls, score calls, and gradients that fell back to
+        # central differences of the whole likelihood, so far
+        self.calls = self.scores = self.fallbacks = 0
         log.debug("engine: %d chunks, at most %d rows, %d nodes; analytic scores: %s; "
                   "Hessian: %s", len(self.chunks),
                   max((len(c["rows"]) for c in self.chunks), default=0), self.nq,
@@ -341,33 +341,18 @@ class LikelihoodEngine:
             W = post if k == 0 else post * W[chunk["labels"][k - 1]][..., None]
         return W.reshape(-1, self.nq), chunk["labels"][-1]
 
-    def _pass(self, x) -> np.ndarray:
-        """(n_clusters,) log-likelihoods of one point x (p,), chunk by
-        chunk."""
+    def cluster_logliks(self, params) -> np.ndarray:
+        """Per-top-cluster log-likelihoods of one point (p,), (n_clusters,),
+        chunk by chunk."""
+        x = np.asarray(params, dtype=float)
         draws = self.draws(x)
         parts = [self._chunk_loglik(c, x, draws) for c in range(len(self.chunks))]
         return np.concatenate(parts) if parts else np.zeros(0)
 
-    def cluster_logliks(self, params) -> np.ndarray:
-        """Per-top-cluster log-likelihoods: (n_clusters,) for one point
-        (p,), (n_clusters, B) for a (B, p) matrix of points, one point at a
-        time."""
-        params = np.asarray(params, dtype=float)
-        if params.ndim == 1:
-            return self._pass(params)
-        return np.column_stack([self._pass(x) for x in params])
-
-    def total_loglik(self, params):
-        """The marginal log-likelihood of one point (p,), a float, or of
-        each row of a (B, p) matrix of points, an array (B,), one point at
-        a time."""
-        params = np.asarray(params, dtype=float)
+    def total_loglik(self, params) -> float:
+        """The marginal log-likelihood of one point (p,)."""
         self.calls += 1
-        if params.ndim == 1:
-            self.points += 1
-            return float(np.sum(self._pass(params)))
-        self.points += len(params)
-        return np.asarray([np.sum(self._pass(x)) for x in params])
+        return float(np.sum(self.cluster_logliks(params)))
 
     def score(self, x) -> np.ndarray:
         """The gradient of log L at one point x (p,): cluster_scores summed
@@ -733,11 +718,8 @@ HESS_STEP = 1e-4   # relative step of the Hessian's second differences, O(h^2):
 
 
 def _neg_loglik(engine, params):
-    """-log L of one point (p,), or of each row of a (B, p) matrix of
-    points, one point at a time; _BIG where log L is not finite or the
+    """-log L of one point (p,); _BIG where log L is not finite or the
     point cannot be evaluated."""
-    if np.ndim(params) == 2:
-        return np.asarray([_neg_loglik(engine, x) for x in params])
     try:
         # overflow at a rejected line-search point is handled by the
         # finiteness check below, not worth a warning
@@ -759,23 +741,18 @@ def _gradient_points(x, step_scale):
     return points, h
 
 
-def _gradient(values, h):
-    """Central differences from the values at _gradient_points."""
-    return (values[0::2] - values[1::2]) / (2.0 * h)
-
-
 def central_gradient(f, x, step_scale):
-    """Central-difference gradient of f, which maps a (B, p) matrix of
-    points to B values; all 2p points go to one call of f."""
+    """Central-difference gradient of f, one call of f per point."""
     points, h = _gradient_points(x, step_scale)
-    return _gradient(f(points), h)
+    values = np.asarray([f(p) for p in points])
+    return (values[0::2] - values[1::2]) / (2.0 * h)
 
 
 def central_hessian(f, x, step_scale):
     """Symmetric second differences of f (Abramowitz & Stegun 25.3.27),
     O(h^2) with one step h_i = step_scale * max(1, |x_i|) per axis, from f
-    at x, x +- h_i e_i and x +- (h_i e_i + h_j e_j) for i < j; all
-    p^2 + p + 1 points go to one call of f."""
+    at x, x +- h_i e_i and x +- (h_i e_i + h_j e_j) for i < j, one call of
+    f per point, x first."""
     n = len(x)
     axes, h = _gradient_points(x, step_scale)
     i, j = np.triu_indices(n, 1)
@@ -785,7 +762,7 @@ def central_hessian(f, x, step_scale):
     pairs[k, j] += h[j]
     pairs[k + 1, i] -= h[i]
     pairs[k + 1, j] -= h[j]
-    values = f(np.vstack([x[None, :], axes, pairs]))
+    values = np.asarray([f(p) for p in np.vstack([x[None, :], axes, pairs])])
     f0, fp, fm = values[0], values[1:2 * n + 1:2], values[2:2 * n + 1:2]
     fpp, fmm = values[2 * n + 1::2], values[2 * n + 2::2]
     H = np.empty((n, n))
@@ -853,8 +830,8 @@ def _bfgs(engine, x0, f0, max_iter: int):
     Converged when the gradient inf-norm falls below GRAD_TOL and the
     relative objective change falls below REL_TOL.  Logs a debug record of
     the start matrix, then one per iteration with the engine's counts of
-    points, calls, scores and central-difference fallbacks so far and the
-    number of resets to I.
+    calls, scores and central-difference fallbacks so far and the number
+    of resets to I.
     """
     f = partial(_neg_loglik, engine)
     x = np.asarray(x0, dtype=float)
@@ -905,9 +882,9 @@ def _bfgs(engine, x0, f0, max_iter: int):
         x, fx, g = x_new, f_new, g_new
         it += 1
         log.debug("iteration %d: logL %.10g, max|g| %.3g, alpha %.3g, %d halvings, "
-                  "%d points in %d engine calls, %d scores, %d fallbacks, %d resets", it, -fx,
-                  np.max(np.abs(g)), alpha, halvings, engine.points, engine.calls,
-                  engine.scores, engine.fallbacks, resets)
+                  "%d engine calls, %d scores, %d fallbacks, %d resets", it, -fx,
+                  np.max(np.abs(g)), alpha, halvings, engine.calls, engine.scores,
+                  engine.fallbacks, resets)
     if fx >= _BIG:
         # the whole search stayed on the invalid-likelihood penalty plateau;
         # a zero gradient there is not convergence
@@ -987,9 +964,12 @@ def _vcov(engine, xhat):
     at the estimates, and the warning says whether log L is.  Every other
     model keeps the grid of symmetric second differences (central_hessian),
     where a grid point may have the _BIG penalty.  On both, the Hessian may
-    be singular or have a variance that is not finite and positive.  Logs a
-    debug record of the Hessian's source (its cluster count or grid point
-    count), smallest eigenvalue and condition number."""
+    be singular or have a variance that is not finite and positive.  The
+    grid's may also be singular to within its rounding error: each entry
+    carries about 4 eps |log L| / (h_i h_j) of it, whose Frobenius norm
+    4 eps |log L| sum_i h_i^-2 bounds the smallest eigenvalue that is told
+    from 0.  Logs a debug record of the Hessian's source (its cluster
+    count or grid point count), smallest eigenvalue and condition number."""
     labels = engine.ev.layout.labels
     if engine.exact_information:
         try:
@@ -1005,16 +985,20 @@ def _vcov(engine, xhat):
             return None
         penalized = None
     else:
-        calls = []
+        points, values = [], []
 
-        def objective(points):
-            calls.append((points, _neg_loglik(engine, points)))
-            return calls[-1][1]
+        def objective(x):
+            points.append(x)
+            values.append(_neg_loglik(engine, x))
+            return values[-1]
 
         H = central_hessian(objective, xhat, HESS_STEP)
-        (points, values), = calls
+        points, values = np.asarray(points), np.asarray(values)
         source = f"{len(points)} points"
         penalized = values >= _BIG
+        # values[0] is f at xhat
+        noise = 4.0 * np.finfo(float).eps * abs(values[0]) * np.sum(
+            _gradient_points(xhat, HESS_STEP)[1] ** -2.0)
     eig = np.linalg.eigvalsh(H)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.max(np.abs(eig)) / np.min(np.abs(eig))
@@ -1041,6 +1025,10 @@ def _vcov(engine, xhat):
         _no_vcov("the inverse Hessian has a non-finite or non-positive variance of "
                  + ", ".join(labels[k] for k in np.flatnonzero(bad))
                  + f" (smallest eigenvalue {eig[0]:.6g})")
+        return None
+    if penalized is not None and eig[0] <= noise:
+        _no_vcov(f"the grid Hessian (smallest eigenvalue {eig[0]:.6g}, rounding error "
+                 f"{noise:.6g}) is singular to within its rounding error")
         return None
     return vcov
 

@@ -8,18 +8,20 @@ log-likelihood matrices used by the estimation engine.
 
 Every evaluation takes a quadrature.Frame, the rows and times to evaluate
 at, and reads the submodel's Design on it for the order (value, d1, d2 or
-integral), compiled from its columns on first use: the columns with
-neither random effects nor a link as one matrix of static values times
-time factors (or their derivative or integral), summed with the
-coefficients in column order; the random-effect columns, the same narrow
-values times the draws; and the link columns, whose link values depend on
-the parameters and are evaluated on each call.  A design holds no value
-that depends on the parameters.  A kept frame (one per chunk and
-submodel of the likelihood engine, and its node blocks) keeps its
-designs; a transient frame compiles them on each call and keeps nothing.
-eta_gradient reads the same design: a fixed coefficient's derivative is
-its design row, and a link target's coefficients keep a factored form
-(EtaGradient).
+integral), compiled from its columns on first use.  The columns with
+neither random effects nor a link are narrow, (n, 1): static values times
+time factors, or their derivative or integral.  Those with a parameter
+are one matrix, and the constrained ones (coefficient 1) one offset.  The
+wide columns are the random-effect columns, narrow values times the
+draws, and the link columns, whose link values depend on the parameters
+and are evaluated on each call.  eta is one narrow sum, the offset plus
+each row times its coefficient, plus the wide columns in column order.
+A design holds no value that depends on the parameters.  A kept frame
+(one per chunk and submodel of the likelihood engine, and its node
+blocks) keeps its designs; a transient frame compiles them on each call
+and keeps nothing.  eta_gradient reads the same design: a fixed
+coefficient's derivative is its design row, and a link target's
+coefficients keep a factored form (EtaGradient).
 
 Parameters come as a vector (p,), one point; random-effect draws as one
 (nq,) array per random effect, and every result has nq columns (1 without
@@ -132,48 +134,39 @@ class Design:
     """A submodel's predictor compiled on a frame for one order; it holds
     no value that depends on the parameters.
 
-    X (k, n) holds the columns with neither random effects nor a link, in
-    column order: their static values times their time factors, or the
-    factors' derivative or integral.  coef (k,) gives each row's parameter
-    index, unit marks the constrained rows (coefficient 1; None without
-    any).  The first lead rows come before the first wide column; tail
-    holds the rest in column order, each a row index of X or a Wide
-    column.  free_X and free_params are the rows with a parameter."""
+    X (k, n) holds the columns with neither random effects nor a link that
+    have a parameter, in column order: their static values times their
+    time factors, or the factors' derivative or integral; params (k,)
+    gives each row's parameter index.  offset, (n, 1) or None, is the sum
+    of the constrained ones (coefficient 1), and wide holds the Wide
+    columns in column order."""
 
-    def __init__(self, narrow, coef, lead, tail, n):
+    def __init__(self, narrow, params, offset, wide, n):
         self.X = np.empty((len(narrow), n))
         for row, v in zip(self.X, narrow):
             row[:] = 1.0 if v is None else v[:, 0]
-        unit = np.asarray([k is None for k in coef], dtype=bool)
-        self.coef = np.asarray([0 if k is None else k for k in coef], dtype=int)
-        self.unit = unit if unit.any() else None
-        self.lead, self.tail = lead, tail
-        self.wide = [w for w in tail if isinstance(w, Wide)]
-        self.free_X = self.X if self.unit is None else self.X[~unit]
-        self.free_params = [k for k in coef if k is not None]
+        self.params = np.asarray(params, dtype=int)
+        self.offset, self.wide = offset, wide
 
-    def beta(self, params):
-        """The coefficient of each row of X at a point."""
-        b = np.asarray(params)[self.coef]
-        if self.unit is not None:
-            b[self.unit] = 1.0
-        return b
-
-    def lead_sum(self, beta):
-        """The sum of the lead rows of X times their coefficients, added
-        in row order, (n, 1)."""
-        X = self.X
-        if not self.lead:
+    def narrow_sum(self, params):
+        """The offset plus each row of X times its coefficient, (n, 1),
+        added row by row in elementwise operations: not a matrix product,
+        so a row's value does not depend on how many rows its frame holds."""
+        X, beta = self.X, np.asarray(params)[self.params]
+        if self.offset is not None:
+            acc, first = self.offset[:, 0].copy(), 0
+        elif len(X):
+            acc, first = X[0] * beta[0], 1
+        else:
             return np.zeros((X.shape[1], 1))
-        acc = X[0] * beta[0]
-        for j in range(1, self.lead):
+        for j in range(first, len(X)):
             acc += X[j] * beta[j]
         return acc[:, None]
 
     @property
     def nbytes(self) -> int:
-        arrays = [self.X, *(w.narrow for w in self.wide if w.narrow is not None)]
-        return sum(a.nbytes for a in arrays) + (self.free_X is not self.X) * self.free_X.nbytes
+        arrays = [self.X, self.offset, *(w.narrow for w in self.wide)]
+        return sum(a.nbytes for a in arrays if a is not None)
 
 
 class EtaGradient:
@@ -405,7 +398,7 @@ class Evaluator:
             if key not in table:
                 table[key] = self._time_values(el, t, forder)
             return _column(table[key], bi)
-        narrow, coef, lead, tail = [], [], 0, []
+        narrow, params, offset, wide = [], [], None, []
         for col in self.subs[sub_idx].columns:
             tf = col.time_factors
             if tf and t is None:
@@ -413,7 +406,7 @@ class Evaluator:
             s = None if col.static is None else col.static[rows][:, None]
             links = [el for el, _ in tf if el.kind == "link"]
             if links and order != "value":
-                tail.append(Wide(s, col.re_names, col.param, links, tf))
+                wide.append(Wide(s, col.re_names, col.param, links, tf))
                 continue
             if order == "value":
                 v = s
@@ -437,15 +430,14 @@ class Evaluator:
                 # the nodes are needed once: a transient frame keeps none
                 v = _times(s, integrate_to(product, Frame(rows, t), TIME_GL_POINTS, 1))
             if col.re_names or links:
-                tail.append(Wide(v, col.re_names, col.param, links))
-                continue
-            narrow.append(v)
-            coef.append(col.param)
-            if tail:
-                tail.append(len(narrow) - 1)
+                wide.append(Wide(v, col.re_names, col.param, links))
+            elif col.param is None:
+                # a constrained narrow column has a static or time factor
+                offset = v if offset is None else offset + v
             else:
-                lead += 1
-        return Design(narrow, coef, lead, tail, len(rows))
+                narrow.append(v)
+                params.append(col.param)
+        return Design(narrow, params, offset, wide, len(rows))
 
     def _time_values(self, el, t, order):
         """Every column of a time-varying element other than a link at
@@ -537,18 +529,13 @@ class Evaluator:
 
     def eta(self, params, sub_idx, at: Frame, draws, order="value"):
         """Complex predictor (or its time derivative/integral) on a frame:
-        (n, nq), from the submodel's design for the order.  Its columns
-        are added in column order: the narrow ones before the first wide
-        one as (n, 1), the rest to the widened sum."""
-        d = self._design(sub_idx, at, order)
-        beta, calls = d.beta(params), {}
-        acc = d.lead_sum(beta)
-        for item in d.tail:
-            if isinstance(item, Wide):
-                v = self._wide_value(params, item, at, draws, order, calls)
-                acc = acc + (v if item.param is None else params[item.param] * v)
-            else:
-                acc = acc + beta[item] * d.X[item][:, None]
+        (n, nq), from the submodel's design for the order: its narrow sum
+        (n, 1), then its wide columns added in column order."""
+        d, calls = self._design(sub_idx, at, order), {}
+        acc = d.narrow_sum(params)
+        for w in d.wide:
+            v = self._wide_value(params, w, at, draws, order, calls)
+            acc = acc + (v if w.param is None else params[w.param] * v)
         return _widen(acc, draws)
 
     def eta_gradient(self, params, sub_idx, at: Frame, draws, second=False):
@@ -599,28 +586,24 @@ class Evaluator:
                 if second:
                     targets[id(el)] += (t_grad.dense(), t_hess,
                                         families.mean_d2(fam, t_eta) if ev else None)
-        beta = d.beta(params)
-        acc = d.lead_sum(beta)
+        acc = d.narrow_sum(params)
         grad, hess = EtaGradient(), {}
-        if d.free_params:
-            grad.blocks.append((None, d.free_X, d.free_params))
-        for item in d.tail:
-            if not isinstance(item, Wide):
-                acc = acc + beta[item] * d.X[item][:, None]
-                continue
-            coef = None if item.param is None else params[item.param]
-            base = self._base(item, draws)
-            values = [calls[(id(el), "value")] for el in item.links]
+        if len(d.params):
+            grad.blocks.append((None, d.X, d.params))
+        for w in d.wide:
+            coef = None if w.param is None else params[w.param]
+            base = self._base(w, draws)
+            values = [calls[(id(el), "value")] for el in w.links]
             v = base
             for value in values:
                 v = _times(v, value)
             cv = v if coef is None else coef * v
             acc = acc + cv
             if coef is not None:
-                grad.add(item.param, v)
-            for name in item.re_names:
+                grad.add(w.param, v)
+            for name in w.re_names:
                 grad.add(self.layout.log_sd_of[name], cv)
-            for j, el in enumerate(item.links):
+            for j, el in enumerate(w.links):
                 # d/d theta of link j: coef x the other factors x its own
                 # derivative
                 if coef is None:
@@ -633,7 +616,7 @@ class Evaluator:
                 t_grad, dmu = targets[id(el)][:2]
                 grad.extend(t_grad, _times(other, dmu))
             if second:
-                self._column_hessian(item, coef, base, values, targets, hess)
+                self._column_hessian(w, coef, base, values, targets, hess)
         eta = _widen(acc, draws)
         return (eta, grad, hess) if second else (eta, grad)
 

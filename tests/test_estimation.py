@@ -2,6 +2,7 @@
 
 import logging
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.stats import norm
 
 import jointfit as jf
 from jointfit import estimation
-from jointfit.estimation import (LikelihoodEngine, fit_from_json, fit_to_json,
+from jointfit.estimation import (HESS_STEP, LikelihoodEngine, fit_from_json, fit_to_json,
                                  start_values, summary_table)
 from jointfit.evaluator import Evaluator
 from jointfit.userfam import logl_gaussian, register_user_family
@@ -122,7 +123,7 @@ class TestClusterLoglik:
                 p = start_values(eng) + 0.1
                 P = p + 0.01 * np.arange(3)[:, None]
                 results.append((eng.cluster_logliks(p), [eng.total_loglik(x) for x in P],
-                                eng.cluster_logliks(P), eng.total_loglik(P)))
+                                [eng.cluster_logliks(x) for x in P]))
             for got in results[1:]:
                 for a, b in zip(got, results[0]):
                     assert np.array_equal(a, b)
@@ -326,13 +327,13 @@ def _gaussian_xy(sd, n=200, seed=0):
 
 
 def _hessian_points(monkeypatch):
-    """Fit hook: the engine points each _vcov call adds."""
+    """Fit hook: the engine calls each _vcov call adds."""
     counts, vcov = [], estimation._vcov
 
     def counted(engine, xhat):
-        before = engine.points
+        before = engine.calls
         out = vcov(engine, xhat)
-        counts.append(engine.points - before)
+        counts.append(engine.calls - before)
         return out
 
     monkeypatch.setattr(estimation, "_vcov", counted)
@@ -459,7 +460,7 @@ class TestHessian:
 
         def grid(f, x, step_scale):
             seen.append("grid")
-            f(x[None, :])
+            f(x)
             return hessian
 
         monkeypatch.setattr(LikelihoodEngine, "information", information)
@@ -486,6 +487,35 @@ class TestHessian:
                                                 "finite at the estimates"):
             fit = fit_spec("gaussian : y ~ x", d)
         assert fit.converged and fit.vcov is None
+
+    @pytest.mark.parametrize("smallest, kept", [(1e-7, False), (1e-3, True)])
+    def test_grid_singular_to_its_rounding_error(self, monkeypatch, smallest, kept):
+        # a positive definite grid Hessian whose smallest eigenvalue is at
+        # most the grid's rounding error, 4 eps |log L| sum_i h_i^-2 (about
+        # 4e-5 here), gives no standard errors
+        def grid(f, x, step_scale):
+            f(x)
+            return np.diag([1.0, 1.0, smallest])
+
+        monkeypatch.setattr(LikelihoodEngine, "_analytic", lambda self, i: False)
+        monkeypatch.setattr(estimation, "central_hessian", grid)
+        _, _, d = _gaussian_xy(0.5)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            fit = fit_spec("gaussian : y ~ x", d)
+        h = HESS_STEP * np.maximum(1.0, np.abs(fit.estimates))
+        bound = 4.0 * np.finfo(float).eps * abs(fit.loglik) * np.sum(h ** -2.0)
+        assert smallest < 0.1 * bound if not kept else smallest > 10.0 * bound
+        reasons = [str(w.message) for w in seen if "standard errors" in str(w.message)]
+        if kept:
+            assert fit.vcov is not None and not reasons
+            return
+        assert fit.vcov is None
+        m = re.fullmatch(r"no standard errors: the grid Hessian \(smallest eigenvalue (\S+), "
+                         r"rounding error (\S+)\) is singular to within its rounding error",
+                         *reasons)
+        assert m, reasons
+        assert float(m[1]) == smallest and float(m[2]) == pytest.approx(bound, rel=1e-5)
 
 
 class TestStartValues:

@@ -341,13 +341,17 @@ class TestNumpyOracle:
     """eta of a predictor with every kind of column against a numpy
     computation from the bases and the data columns alone: an rcs(time) x
     x interaction, a random intercept and a random slope on x, an EV[]
-    link and an fp(time) term."""
+    link and an fp(time) term, and with constrained columns after the
+    wide ones."""
 
     KNOTS = (0.6, 2.0, 4.5)
     SPEC = ("levels = id\n"
             "gaussian : z ~ x + time | timevar=time\n"
             "gaussian : y ~ rcs(time, knots = c(0.6, 2, 4.5)):x + M1[id]*1 + M2[id]:x*1"
             " + EV[z] + fp(time, powers = c(0.5)) | timevar=time\n")
+    # constrained narrow columns after the wide ones, one static, one
+    # time-varying and an exposure: the design's offset
+    OFFSET_SPEC = SPEC.replace("EV[z]", "EV[z] + x*1 + time:x*1 + exposure(w)")
 
     def oracle(self, p, x, t, b1, b2, order):
         from jointfit.basis import FpBasis, RcsBasis
@@ -365,15 +369,26 @@ class TestNumpyOracle:
         fixed = spline + gamma * (bx * x * t + 0.5 * bt * t**2 + cz * t) + phi * F + c * t
         return fixed[:, None] + (b1[None, :] + b2[None, :] * x[:, None]) * t[:, None]
 
-    @pytest.mark.parametrize("keep", [False, True])
-    @pytest.mark.parametrize("order", ["value", "d1", "d2", "integral"])
-    def test_eta_matches_numpy(self, order, keep):
+    @staticmethod
+    def offset(x, w, t, order):
+        """The constrained columns of OFFSET_SPEC, x*1 + time:x*1 +
+        exposure(w)."""
+        if order == "value":
+            return x + t * x + np.log(w)
+        if order == "d1":
+            return x
+        if order == "d2":
+            return np.zeros_like(x)
+        return (x + np.log(w)) * t + 0.5 * t**2 * x
+
+    def check(self, spec, order, keep):
         rng = np.random.default_rng(3)
         n = 24
         data = make_dataset({"id": np.repeat(np.arange(8.0), 3), "x": rng.normal(size=n),
                              "time": rng.uniform(0.2, 5.0, n), "y": rng.normal(size=n),
-                             "z": rng.normal(size=n)}, levels=("id",))
-        ev = build(self.SPEC, data)
+                             "z": rng.normal(size=n),
+                             "w": np.random.default_rng(4).uniform(0.5, 2.0, n)}, levels=("id",))
+        ev = build(spec, data)
         labels = ev.layout.labels
         assert labels[:3] == ["x", "time", "_cons"]
         assert labels[4:9] == ["rcs():x:1", "rcs():x:2", "EV[]", "fp()", "_cons"]
@@ -385,8 +400,21 @@ class TestNumpyOracle:
         got = ev.eta(p, 1, at, draws, order)
         if keep:  # the design kept by the first call
             assert np.array_equal(ev.eta(p, 1, at, draws, order), got)
+        x = data.column("x")
         want = self.oracle((p[0], p[1], p[2], p[4:6], p[6], p[7], p[8]),
-                           data.column("x"), t, draws["M1"], draws["M2"], order)
+                           x, t, draws["M1"], draws["M2"], order)
+        if spec == self.OFFSET_SPEC:
+            want = want + self.offset(x, data.column("w"), t, order)[:, None]
         want = np.broadcast_to(want, got.shape)
         assert np.all(np.isfinite(want)) and np.max(np.abs(want)) > 0.1
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("order", ["value", "d1", "d2", "integral"])
+    def test_eta_matches_numpy(self, order, keep):
+        self.check(self.SPEC, order, keep)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("order", ["value", "d1", "d2", "integral"])
+    def test_offset_matches_numpy(self, order, keep):
+        self.check(self.OFFSET_SPEC, order, keep)
