@@ -2,7 +2,10 @@
 
 Statistics are evaluated per predicted row, either with all random effects
 set to zero (fixedonly) or by integrating the statistic itself over the
-random-effect distribution with the fit's node rule (marginal).  The
+random-effect distribution with the fit's node rule (marginal).  Rows with
+the same time and the same static values in every submodel's columns get
+the same value, so each distinct (time, covariate pattern) is evaluated
+once, on one frame, and its value copied to its rows.  The
 competing-risks calculus treats every survival submodel as a
 cause-specific hazard model unless a causes subset is given.
 """
@@ -164,7 +167,10 @@ def predict_stat(model: FittedModel, req: PredictRequest) -> dict[str, np.ndarra
 
     Returns a dict with row indices, evaluation times, and values.
     Predictions are made only for rows with a non-missing response of the
-    prediction submodel.
+    prediction submodel, at req.times (one time for every row, or one per
+    row; finite and non-negative, else EvalError) or else at each row's
+    observed time.  Each distinct row key (_distinct_rows) is evaluated
+    once.
     """
     if req.statistic in DIFF_STATS:
         return _predict_difference(model, req)
@@ -173,13 +179,42 @@ def predict_stat(model: FittedModel, req: PredictRequest) -> dict[str, np.ndarra
     m = req.predmodel - 1
     base = model._with_overrides(req.at)
     rows = base.ev.subs[m].rv.observed_rows
-    t = (np.broadcast_to(np.asarray(req.times, dtype=float), (len(rows),)).copy()
-         if req.times is not None else _default_times(base, m, rows))
+    t = (_request_times(req, len(rows)) if req.times is not None
+         else _default_times(base, m, rows))
     draws, weights = _draws_weights(base, req.type)
+    first, inverse = _distinct_rows(base.ev, rows, t)
     # a transient frame: a prediction keeps no values between calls
-    vals = _stat_matrix(base, req, Frame(rows, t), draws)
-    out = vals @ weights
+    vals = _stat_matrix(base, req, Frame(rows[first], t[first]), draws)
+    # expanded before the product: a BLAS row sum depends on the rows beside it
+    out = vals[inverse] @ weights
     return {"rows": rows, "times": t, "values": out}
+
+
+def _request_times(req: PredictRequest, n: int) -> np.ndarray:
+    """The request's times, one per prediction row: one time for every
+    row, or n of them."""
+    t = np.asarray(req.times, dtype=float)
+    if t.ndim > 1 or t.size not in (1, n):
+        raise EvalError(f"times holds {t.size} values; give 1, or one per prediction "
+                        f"row ({n})")
+    if not np.all(np.isfinite(t)) or np.any(t < 0):
+        raise EvalError("prediction times must be finite and non-negative")
+    return np.broadcast_to(t.reshape(-1), (n,)).copy()
+
+
+def _distinct_rows(ev: Evaluator, rows: np.ndarray, t: np.ndarray):
+    """The first of each set of prediction rows with one key, and each
+    row's key index.  A row's key is its time and its static values in
+    every column of every submodel (the causes' and link targets'
+    included): all that a prediction reads of a row, since time factors
+    depend on the time alone.  Keys compare as bytes, so 0.0 and -0.0,
+    or two NaN payloads, stay apart.  A prediction that read a row's
+    cluster (empirical Bayes) would need the cluster in the key."""
+    keys = np.column_stack([t] + [c.static[rows] for s in ev.subs for c in s.columns
+                                  if c.static is not None])
+    raw = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+    _, first, inverse = np.unique(raw[:, 0], return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 def _predict_difference(model: FittedModel, req: PredictRequest):

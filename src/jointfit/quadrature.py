@@ -6,9 +6,10 @@ draws), which are rescaled by the current random-effect Cholesky factor at
 every likelihood evaluation.  Time integrals use Gauss-Legendre rules over
 a Frame, the rows and times at which a predictor is evaluated, in blocks of
 nodes sized before the first integrand call from the rows and the
-integrand's width; a frame kept by the likelihood engine keeps the node
-blocks it derives and the parameter-free values evaluated there, a
-transient frame keeps nothing.
+integrand's width, each block's node terms summed in node order in one
+reduction; a frame kept by the likelihood engine keeps the node blocks it
+derives and the parameter-free values evaluated there, a transient frame
+keeps nothing.
 """
 
 import warnings
@@ -116,8 +117,11 @@ def integrate_to(fn, at: Frame, n: int, width: int) -> np.ndarray:
     the block's times stacked node-major and its rows tiled; every block
     but the last holds as many nodes as fit in TIME_BLOCK_DOUBLES values.
     Nodes are clamped to at least 1e-300, so fn may take logs of time.
-    Each block is weighted in one multiply and its node terms are added in
-    node order, so the result does not depend on the blocking.  A kept
+    Each block is weighted in one multiply, the running sum of the blocks
+    before is added to its first node's terms, and its node terms are
+    summed in one reduction along the node axis, which numpy adds in node
+    order unless that axis is the fastest in memory (one row: then a loop
+    adds them).  So the result does not depend on the blocking.  A kept
     frame that is not itself a node block keeps each block's frame, keyed
     by (n, first node, end node).
     """
@@ -133,8 +137,15 @@ def integrate_to(fn, at: Frame, n: int, width: int) -> np.ndarray:
             np.maximum(half * (x[k:end, None] + 1.0), 1e-300).ravel()))
         vals = fn(block)
         terms = vals.reshape(end - k, m, vals.shape[-1]) * (w[k:end, None] * half)[:, :, None]
-        for term in terms:
-            acc = term if acc is None else acc + term
+        if m == 1:
+            # the node axis is the fast one, which numpy would sum pairwise
+            for term in terms:
+                acc = term if acc is None else acc + term
+            continue
+        if acc is not None:
+            terms[0] += acc
+        # along an axis that is not the fastest, numpy adds in node order
+        acc = np.add.reduce(terms, axis=0)
     return acc
 
 

@@ -191,6 +191,12 @@ class TestPredict:
         _, rows = self.read_csv(out)
         assert np.allclose(rows[:, 2], 0.0)
 
+    def test_negative_time_exits_2(self, fitted, surv_csv, tmp_path, capsys):
+        code = run(["predict", "--fit", fitted, "--data", surv_csv, "--stat", "survival",
+                    "--times", "-1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "prediction times must be finite and non-negative" in capsys.readouterr().err
+
     def test_bad_stat_family_exits_2(self, fitted, surv_csv, tmp_path, capsys):
         code = run(["predict", "--fit", fitted, "--data", surv_csv,
                     "--stat", "mu", "--out", str(tmp_path / "x.csv")])

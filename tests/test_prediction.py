@@ -1,15 +1,19 @@
 """Post-estimation statistics: survival curves, CIFs, RMST, contrasts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import jointfit as jf
+from jointfit import prediction
 from jointfit.estimation import FitResult, LikelihoodEngine
 from jointfit.evaluator import EvalError, Evaluator
-from jointfit.prediction import FittedModel, PredictRequest, predict_stat
+from jointfit.prediction import DIFF_STATS, FittedModel, PredictRequest, predict_stat
 from jointfit.quadrature import Frame
 
 from conftest import fit_spec, make_dataset, sim_lmm, sim_weibull
+from test_time_blocks import FP_PARAMS, FP_SPEC, fp_data, make_model
 
 
 def predict(model, **kw):
@@ -335,3 +339,174 @@ def test_saved_bases_predict_the_fitting_values():
         assert np.array_equal(got, want), (m, stat)
         # submodel 2's knots are explicit, the same for any data
         assert np.allclose(got, other) == (m == 2), (m, stat)
+
+
+def model_at(spec, params, data, rule=((), ())):
+    """A FittedModel at fixed parameters, without a fit."""
+    labels = Evaluator(jf.validate_spec(jf.parse_spec_text(spec), data), data).layout.labels
+    fit = FitResult(np.asarray(params, dtype=float), labels, None, 0.0, 0, True, spec, *rule, 0)
+    return FittedModel(fit, data)
+
+
+def all_rows(model, req):
+    """Oracle: the statistic on one frame of every prediction row, each
+    row evaluated however many rows share its time and covariates."""
+    if req.statistic in DIFF_STATS:
+        name, v1, v2 = req.contrast
+        a, b = (all_rows(model, replace(req, statistic=DIFF_STATS[req.statistic],
+                                        contrast=None, at={**req.at, name: v}))
+                for v in (v1, v2))
+        return b - a
+    base = model._with_overrides(req.at)
+    rows = base.ev.subs[req.predmodel - 1].rv.observed_rows
+    t = np.broadcast_to(np.asarray(req.times, dtype=float), rows.shape).copy()
+    draws, weights = prediction._draws_weights(base, req.type)
+    return prediction._stat_matrix(base, req, Frame(rows, t), draws) @ weights
+
+
+def evaluated_rows(monkeypatch):
+    """len(at.rows) of each Evaluator.hazard call, filled as they come."""
+    seen = []
+    hazard = Evaluator.hazard
+
+    def recorded(self, params, sub_idx, at, draws):
+        seen.append(len(at.rows))
+        return hazard(self, params, sub_idx, at, draws)
+
+    monkeypatch.setattr(Evaluator, "hazard", recorded)
+    return seen
+
+
+# two causes: cause 1 with x, a static spline of z, an exposure and a
+# random intercept, cause 2 with v alone
+STATIC_SPEC = ("levels = id\nip = 5\n"
+               "weibull : Surv(t, d1) ~ x + rcs(z, df = 3) + exposure(w) + M1[id]*1\n"
+               "gompertz : Surv(t, d2) ~ v\n")
+# x, rcs():1-3, _cons, log(gamma), v, _cons, gamma, log_sd(M1)
+STATIC_PARAMS = [0.4, 0.2, -0.1, 0.05, np.log(0.05), np.log(1.2), -0.3, np.log(0.05), 0.1,
+                 np.log(0.5)]
+
+
+def static_data(n=40, seed=5, **fixed):
+    """Pairs of rows in clusters id; x, v binary, z and w from a few
+    values, so that rows share covariate patterns; fixed replaces columns."""
+    rng = np.random.default_rng(seed)
+    cols = {"id": np.arange(n) // 2, "t": rng.uniform(0.3, 5.0, n),
+            "d1": (rng.random(n) < 0.4) * 1.0, "d2": (rng.random(n) < 0.3) * 1.0,
+            "x": rng.integers(0, 2, n) * 1.0, "z": rng.choice([-1.0, 0.0, 0.5, 2.0], n),
+            "w": rng.choice([1.0, 2.0], n), "v": rng.integers(0, 2, n) * 1.0}
+    return make_dataset({**cols, **fixed}, levels=("id",))
+
+
+def static_model(**fixed):
+    return model_at(STATIC_SPEC, STATIC_PARAMS, static_data(**fixed), (("ghermite",), (5,)))
+
+
+SURVIVAL_STATS = ("eta", "hazard", "chazard", "logchazard", "survival", "cif", "timelost",
+                  "totaltimelost", "rmst", "hdifference", "cifdifference", "rmstdifference",
+                  "etadifference")
+ORACLE_MODELS = {  # model maker, (prediction submodel, its statistics)
+    "joint_ev": (lambda: make_model("joint_ev"),
+                 [(1, ("eta", "mu", "etadifference", "mudifference")), (2, SURVIVAL_STATS)]),
+    "fp_weibull": (lambda: make_model("fp_weibull"), [(1, SURVIVAL_STATS), (2, SURVIVAL_STATS)]),
+    "static": (static_model, [(1, SURVIVAL_STATS), (2, SURVIVAL_STATS)]),
+}
+
+
+class TestDistinctRows:
+    """Each distinct (time, covariate pattern) is evaluated once; the
+    values are those of every row evaluated on one frame."""
+
+    @pytest.mark.parametrize("type_", ["fixedonly", "marginal"])
+    @pytest.mark.parametrize("kind", sorted(ORACLE_MODELS))
+    def test_matches_all_rows(self, kind, type_):
+        make, requests = ORACLE_MODELS[kind]
+        model = make()
+        for m, stats in requests:
+            n = len(model.ev.subs[m - 1].rv.observed_rows)
+            times = np.resize([0.5, 2.0, 3.5], n)
+            for stat, at in ((s, a) for s in stats for a in ({}, {"x": 1.0})):
+                req = PredictRequest(stat, predmodel=m, type=type_, at=at, times=times,
+                                     contrast=("x", 0.0, 1.0) if stat in DIFF_STATS else None)
+                got = predict_stat(model, req)
+                assert np.array_equal(got["times"], times)
+                assert np.array_equal(got["values"], all_rows(model, req)), (m, stat, at)
+
+    def test_one_distinct_row_matches_all_rows(self, monkeypatch):
+        # a one-row product would be BLAS's dot, not the rows' matrix product
+        model = make_model("joint_ev")
+        seen = evaluated_rows(monkeypatch)
+        for m, stat in ((1, "eta"), (2, "hazard"), (2, "chazard"), (2, "cif")):
+            req = PredictRequest(stat, predmodel=m, type="marginal", times=np.asarray([2.5]),
+                                 at={"x": 1.0})
+            assert np.array_equal(predict_stat(model, req)["values"], all_rows(model, req)), stat
+        assert seen[0] == 1
+
+    def test_a_time_grid_with_at_evaluates_each_time_once(self, monkeypatch):
+        model = model_at(FP_SPEC, FP_PARAMS, fp_data(n=200))
+        times = np.linspace(0.5, 6.0, 12)[np.arange(200) % 12]
+        req = PredictRequest("hazard", predmodel=2, at={"x": 1.0}, times=times)
+        want = all_rows(model, req)
+        seen = evaluated_rows(monkeypatch)
+        got = predict_stat(model, req)
+        assert seen == [12]
+        assert np.array_equal(got["values"], want)
+
+    def test_a_competing_cause_s_column_keeps_rows_apart(self, monkeypatch):
+        # the rows differ only in v, which cause 2 alone reads
+        model = static_model(v=np.arange(40) % 2 * 1.0)
+        req = PredictRequest("cif", predmodel=1, at={"x": 0.0, "z": 0.0, "w": 1.0},
+                             times=np.asarray([2.0]))
+        want = all_rows(model, req)
+        got = predict_stat(model, req)["values"]
+        assert np.array_equal(got, want)
+        assert got[0] != got[1]
+        seen = evaluated_rows(monkeypatch)
+        predict_stat(model, replace(req, statistic="hazard"))
+        assert seen == [2]
+
+    def test_a_link_target_s_column_keeps_rows_apart(self, monkeypatch):
+        # 4 survival rows that differ only in z, which EV[y] reads
+        data = make_dataset({"time": [0.5, 1.0, 1.5, 2.0, *[np.nan] * 4],
+                             "y": [1.0, 1.2, 0.8, 1.5, *[np.nan] * 4],
+                             "z": [0.0, 1.0, 0.0, 1.0] * 2,
+                             "st": [*[np.nan] * 4, 3.0, 3.0, 3.0, 3.0],
+                             "sd": [*[np.nan] * 4, 1.0, 0.0, 1.0, 0.0], "x": np.zeros(8)})
+        spec = ("gaussian : y ~ z + time | timevar=time\n"
+                "weibull : Surv(st, sd) ~ x + EV[y] | timevar=st\n")
+        # z, time, _cons, log_sd(resid.), x, EV[], _cons, log(gamma)
+        model = model_at(spec, [0.7, 0.2, 1.0, np.log(0.3), 0.5, 0.4, np.log(0.1), 0.1], data)
+        req = PredictRequest("hazard", predmodel=2, times=np.asarray([2.0]))
+        seen = evaluated_rows(monkeypatch)
+        got = predict_stat(model, req)["values"]
+        assert seen == [2]
+        assert np.array_equal(got, all_rows(model, req))
+        assert got[0] != got[1]
+
+    def test_signed_zeros_stay_apart(self, monkeypatch):
+        data = make_dataset({"t": np.arange(1.0, 7.0), "d1": np.ones(6), "d2": np.zeros(6),
+                             "x": [0.0, -0.0] * 3})
+        model = model_at(FP_SPEC, FP_PARAMS, data)
+        seen = evaluated_rows(monkeypatch)
+        predict(model, statistic="hazard", predmodel=1, times=np.asarray([2.0]))
+        assert seen == [2]
+
+
+class TestTimes:
+    @pytest.mark.parametrize("times", [[-1.0], [np.nan], [np.inf], [1.0, -0.5, 2.0]])
+    def test_bad_time_raises(self, times):
+        model = model_at(FP_SPEC, FP_PARAMS, fp_data(n=3))
+        for stat in ("cif", "rmst", "chazard"):
+            with pytest.raises(EvalError, match="finite and non-negative"):
+                predict(model, statistic=stat, times=np.asarray(times))
+
+    def test_one_time_per_row_or_one_for_all(self):
+        model = model_at(FP_SPEC, FP_PARAMS, fp_data(n=200))
+        with pytest.raises(EvalError, match="times holds 3 values; give 1, or one per "
+                                            r"prediction row \(200\)"):
+            predict(model, statistic="cif", times=np.asarray([1.0, 2.0, 3.0]))
+        one = predict(model, statistic="cif", times=np.asarray([2.0]))
+        each = predict(model, statistic="cif", times=np.full(200, 2.0))
+        assert np.array_equal(one["times"], each["times"])
+        assert np.array_equal(one["values"], each["values"])
+

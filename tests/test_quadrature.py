@@ -15,6 +15,7 @@ from jointfit.quadrature import (CovarianceParam, Frame, gauss_hermite,
                                  level_nodes, qmc_nodes, transform_nodes)
 
 from conftest import make_dataset
+from test_time_blocks import per_node_integrate_to
 
 
 def normal_moment(k: int) -> float:
@@ -166,6 +167,29 @@ class TestIntegrateTo:
 
         integrate_to(fn, Frame(np.arange(3), np.ones(3)), 5, 4)
         assert sizes == [1] * 5
+
+    @pytest.mark.parametrize("layout", ["C", "transposed"])
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_random_blocks_match_per_node_oracle(self, monkeypatch, m, layout):
+        """Random (nodes, rows, width) integrands, values over many orders
+        of magnitude, so that any other order of addition shows in the
+        bits; in C layout and in the score's transposed one (rows fastest),
+        with one block, one node a block and a few nodes a block."""
+        rng = np.random.default_rng(m)
+        for _ in range(4):
+            n, w = int(rng.integers(1, 31)), int(rng.integers(1, 4))
+            rate = rng.normal(0.0, 4.0, (m, w))
+            at = Frame(np.arange(m), rng.uniform(0.1, 5.0, m))
+
+            def fn(fr):
+                # elementwise, so a node's values do not depend on its block
+                v = np.exp(rate[fr.rows] * fr.t[:, None])
+                return v if layout == "C" else np.ascontiguousarray(v.T).T
+
+            want = per_node_integrate_to(fn, at, n, w)
+            for budget in (2**13, 1, 3 * m * w):
+                monkeypatch.setattr(quadrature, "TIME_BLOCK_DOUBLES", budget)
+                assert np.array_equal(integrate_to(fn, at, n, w), want), (n, w, budget)
 
     def test_empty_rows(self):
         calls = []
