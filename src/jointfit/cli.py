@@ -91,7 +91,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    with open(args.fit) as fh:
+    with open(args.fit, "rb") as fh:
         fit = fit_from_json(fh.read())
     data = load_table(args.data, na_token=args.na_token)
     model = FittedModel(fit, data)

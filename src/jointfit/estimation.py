@@ -1,8 +1,9 @@
 """Marginal likelihood assembly and maximization.
 
 The marginal log-likelihood integrates the nested random effects with
-fixed standard-normal-space node sets that are rescaled by the current
-Cholesky factor at every evaluation.  Work is partitioned into chunks of
+fixed standard-normal-space node sets that are rescaled at every
+evaluation by the current covariance factor, which every parameter value
+makes valid (quadrature.CovarianceParam).  Work is partitioned into chunks of
 whole top-level clusters (single rows, for a model without levels),
 evaluated in cluster order: as many clusters as keep a chunk's rows x nq
 within PASS_DOUBLES, and at least one.  A cluster's value does not depend
@@ -74,7 +75,7 @@ import numpy as np
 from . import families
 from .data import DataError, Dataset, response_view
 from .evaluator import TIME_GL_POINTS, EtaGradient, Evaluator
-from .formula import ModelSpec, format_spec
+from .formula import ModelSpec, ParseError, format_spec
 from .quadrature import CovarianceParam, NodeSet, integrate_to, level_nodes, transform_nodes
 
 log = logging.getLogger(__name__)
@@ -126,7 +127,6 @@ class LikelihoodEngine:
         self.ev = evaluator
         self.spec = evaluator.spec
         self.data = evaluator.data
-        self.projection_warned = False
         self.node_sets: list[NodeSet] = []
         for k, level in enumerate(self.spec.levels):
             r = len(self.spec.re_layout[level])
@@ -258,26 +258,19 @@ class LikelihoodEngine:
 
     # -- draws -------------------------------------------------------------
 
-    def covariance_params(self, params) -> dict[str, CovarianceParam]:
-        out = {}
-        for level in self.spec.levels:
-            ls = np.asarray([params[i] for i in self.ev.layout.level_log_sd[level]])
-            cr = np.asarray([params[i] for i in self.ev.layout.level_corr[level]])
-            # one projection warning per engine, so per fit
-            out[level] = CovarianceParam(self.spec.covariance, ls, cr, self.projection_warned)
-        return out
-
     def draws(self, params) -> dict[str, np.ndarray]:
         """Random-effect draws of one point (p,) on the full cross-level
         grid, (nq,) per random effect."""
         out = {}
-        covs = self.covariance_params(params)
+        layout = self.ev.layout
         for k, level in enumerate(self.spec.levels):
             names = self.spec.re_layout[level]
             if not names:
                 continue
-            b = transform_nodes(self.node_sets[k], covs[level])  # (q_k, d)
-            self.projection_warned |= covs[level].warned
+            cov = CovarianceParam(self.spec.covariance,
+                                  np.asarray([params[i] for i in layout.level_log_sd[level]]),
+                                  np.asarray([params[i] for i in layout.level_corr[level]]))
+            b = transform_nodes(self.node_sets[k], cov)  # (q_k, d)
             for j, name in enumerate(names):
                 out[name] = b[self._grid_idx[k], j]
         return out
@@ -1088,21 +1081,30 @@ def fit_to_json(fit: FitResult) -> str:
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def fit_from_json(text: str) -> FitResult:
-    doc = json.loads(text)
-    return FitResult(
-        estimates=np.asarray(doc["estimates"]),
-        labels=list(doc["labels"]),
-        vcov=None if doc["vcov"] is None else np.asarray(doc["vcov"]),
-        loglik=doc["loglik"],
-        iterations=doc["iterations"],
-        converged=doc["converged"],
-        spec_text=doc["spec"],
-        intmethod=tuple(doc["intmethod"]),
-        ip=tuple(doc["ip"]),
-        seed=doc["seed"],
-        bases=doc["bases"],
-    )
+def fit_from_json(text: str | bytes) -> FitResult:
+    """fit_to_json's FitResult; ParseError names the JSON error or missing key."""
+    try:
+        doc = json.loads(text)
+    except ValueError as err:  # a JSONDecodeError, or bytes that no encoding decodes
+        raise ParseError(f"fit file is not JSON: {err}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("fit file is not a JSON object")
+    try:
+        return FitResult(
+            estimates=np.asarray(doc["estimates"]),
+            labels=list(doc["labels"]),
+            vcov=None if doc["vcov"] is None else np.asarray(doc["vcov"]),
+            loglik=doc["loglik"],
+            iterations=doc["iterations"],
+            converged=doc["converged"],
+            spec_text=doc["spec"],
+            intmethod=tuple(doc["intmethod"]),
+            ip=tuple(doc["ip"]),
+            seed=doc["seed"],
+            bases=doc["bases"],
+        )
+    except KeyError as err:
+        raise ParseError(f"fit file has no key {err.args[0]!r}") from None
 
 
 def _wald(est, se):
@@ -1134,7 +1136,7 @@ def summary_table(fit: FitResult) -> str:
             lines.append(
                 f"{lbl:{width}} {est[i]:>10.6g} {se[i]:>10.6g} {z[i]:>7.3f} "
                 f"{p[i]:>8.4f} {lo[i]:>11.6g} {hi[i]:>10.6g}")
-    has_re = any(lbl.startswith("log_sd(M") or lbl.startswith("atanh_corr") for lbl in fit.labels)
+    has_re = any(lbl.startswith(("log_sd(M", "atanh_corr", "atanh_pcorr")) for lbl in fit.labels)
     if has_re:
         method_names = {
             "ghermite": "Non-adaptive Gauss-Hermite quadrature",

@@ -272,13 +272,13 @@ class Evaluator:
                 self.layout.add(f"log_sd({name})") for name in names
             ]
             self.layout.log_sd_of.update(zip(names, self.layout.level_log_sd[level]))
+            # atanh_pcorr: a partial correlation (quadrature.CovarianceParam)
             corr_idx = []
             if spec.covariance == "unstructured" and len(names) > 1:
                 for a in range(1, len(names)):
                     for b in range(a):
-                        corr_idx.append(
-                            self.layout.add(f"atanh_corr({names[a]},{names[b]})")
-                        )
+                        kind = "atanh_corr" if b == 0 else "atanh_pcorr"
+                        corr_idx.append(self.layout.add(f"{kind}({names[a]},{names[b]})"))
             self.layout.level_corr[level] = corr_idx
 
     def _expand_component(self, i, j, sub, comp, rv, given_bases) -> list[Column]:

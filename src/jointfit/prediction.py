@@ -40,7 +40,8 @@ class PredictRequest:
 
 
 class FittedModel:
-    """A FitResult re-attached to data, ready for prediction."""
+    """A FitResult re-attached to data, ready for prediction.  EvalError
+    unless the fit's labels and estimates are its spec's parameters."""
 
     def __init__(self, fit: FitResult, data: Dataset, seed: int | None = None):
         self.fit = fit
@@ -52,6 +53,13 @@ class FittedModel:
         self.spec = validate_spec(spec, data)
         self.data = data
         self.ev = Evaluator(self.spec, data, bases=deserialize_bases(fit.bases))
+        labels = self.ev.layout.labels
+        if not len(fit.labels) == len(fit.estimates) == len(labels):
+            raise EvalError(f"the fit has {len(fit.labels)} labels and {len(fit.estimates)} "
+                            f"estimates, its spec {len(labels)} parameters")
+        for k, (got, want) in enumerate(zip(fit.labels, labels)):
+            if got != want:
+                raise EvalError(f"the fit's parameter {k + 1} is {got!r}, its spec's {want!r}")
         self.engine = LikelihoodEngine(self.ev, seed=fit.seed if seed is None else seed)
         self.params = np.asarray(fit.estimates, dtype=float)
 
@@ -185,8 +193,8 @@ def predict_stat(model: FittedModel, req: PredictRequest) -> dict[str, np.ndarra
     first, inverse = _distinct_rows(base.ev, rows, t)
     # a transient frame: a prediction keeps no values between calls
     vals = _stat_matrix(base, req, Frame(rows[first], t[first]), draws)
-    # expanded before the product: a BLAS row sum depends on the rows beside it
-    out = vals[inverse] @ weights
+    # each row summed alone, so that it does not depend on the rows beside it
+    out = np.einsum("ij,j->i", vals, weights)[inverse]
     return {"rows": rows, "times": t, "values": out}
 
 

@@ -2,8 +2,8 @@
 
 Random-effect integrals use nodes in standard-normal space (Gauss-Hermite
 product rules, Halton/Sobol quasi-random sequences, or plain Monte Carlo
-draws), which are rescaled by the current random-effect Cholesky factor at
-every likelihood evaluation.  Time integrals use Gauss-Legendre rules over
+draws), which are rescaled by the current random-effect covariance factor
+at every likelihood evaluation.  Time integrals use Gauss-Legendre rules over
 a Frame, the rows and times at which a predictor is evaluated, in blocks of
 nodes sized before the first integrand call from the rows and the
 integrand's width, each block's node terms summed in node order in one
@@ -12,7 +12,6 @@ derives and the parameter-free values evaluated there, a transient frame
 keeps nothing.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -201,18 +200,20 @@ def level_nodes(method: str, ip: int, r: int, seed: int = 0) -> NodeSet:
 
 @dataclass
 class CovarianceParam:
-    """Random-effect covariance for one level under a log/atanh parameterization.
+    """Random-effect covariance of one level, F F' with F = diag(exp(log_sd)) @ L.
 
-    The implied covariance is L L' with L = diag(exp(log_sd)) @ chol(C)
-    where C is the correlation matrix built from tanh of the correlation
-    parameters (identity structure: C = I).  A C outside the PD cone is
-    projected into it with a RuntimeWarning, unless warned is set.
+    L = I for identity and diagonal.  For unstructured, L is the partial-
+    correlation factor (Lewandowski, Kurowicka & Joe 2009): with z = tanh of
+    atanh_corr in parameter order (row i, then j < i), L[0, 0] = 1,
+    L[i, j] = z[i, j] sqrt(r[i, j]) and L[i, i] = sqrt(r[i, i]), r[i, j] the
+    product of 1 - z[i, k]^2 over k < j.  L L' is a correlation matrix for
+    every parameter value; z[i, 0] is a correlation, z[i, j > 0] a partial
+    correlation given effects 0..j-1.
     """
 
     structure: str                      # identity | diagonal | unstructured
     log_sd: np.ndarray = field(default_factory=lambda: np.zeros(0))
     atanh_corr: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    warned: bool = False  # set by the projection warning, which it silences
 
     @property
     def dim(self) -> int:
@@ -223,30 +224,16 @@ class CovarianceParam:
         D = np.diag(np.exp(self.log_sd))
         if self.structure != "unstructured" or d <= 1:
             return D
-        C = np.eye(d)
-        idx = 0
+        zs = iter(np.tanh(self.atanh_corr))
+        L = np.eye(d)
         for i in range(1, d):
+            r = 1.0  # a running product, which rounding cannot take below 0
             for j in range(i):
-                C[i, j] = C[j, i] = np.tanh(self.atanh_corr[idx])
-                idx += 1
-        try:
-            Lc = np.linalg.cholesky(C)
-        except np.linalg.LinAlgError:
-            # tanh keeps entries in (-1,1) but for dim >= 3 the matrix can
-            # leave the PD cone; project to the nearest PD correlation
-            # matrix (clip eigenvalues, restore the unit diagonal)
-            w, V = np.linalg.eigh(C)
-            if not self.warned:
-                self.warned = True
-                warnings.warn(
-                    f"correlation matrix of dimension {d} is not positive definite "
-                    f"(smallest eigenvalue {w[0]:.6g}); projected to the nearest "
-                    "positive-definite correlation matrix", RuntimeWarning, stacklevel=2)
-            C = V @ np.diag(np.maximum(w, 1e-6)) @ V.T
-            s = 1.0 / np.sqrt(np.diag(C))
-            C = s[:, None] * C * s[None, :]
-            Lc = np.linalg.cholesky(C + 1e-10 * np.eye(d))
-        return D @ Lc
+                z = next(zs)
+                L[i, j] = z * np.sqrt(r)
+                r *= 1.0 - z * z
+            L[i, i] = np.sqrt(r)
+        return D @ L
 
 
 def transform_nodes(ns: NodeSet, cov: CovarianceParam) -> np.ndarray:

@@ -409,10 +409,7 @@ class TestCriterion8Fixture:
              "y": arr[:, 3], "z": arr[:, 4], "st": arr[:, 5],
              "d1": arr[:, 6], "d2": arr[:, 7]}, levels=("id",))
 
-    # from the BHHH start the search's steps are scaled to the likelihood,
-    # so no trial point reaches a correlation of exactly +-1 (tanh of a
-    # large atanh_corr) and nothing is projected back into the PD cone
-    # (test_engine_warns_once_per_fit covers the one warning per fit)
+    # the fit warns of nothing: no overflow, no singular Hessian
     def test_four_submodel_fit_converges(self):
         start = time.perf_counter()
         d = self.sim_four_outcome(100, seed=80)
@@ -430,8 +427,7 @@ class TestCriterion8Fixture:
                 "bernoulli : z ~ fp(time, powers = c(1)) + M2[id]*1"
                 " | timevar=time\n",
                 d, max_iter=400)
-        projected = [w for w in seen if "correlation matrix of dimension 2" in str(w.message)]
-        assert len(projected) == 0
+        assert [str(w.message) for w in seen] == []
         assert fit.converged
         assert np.isfinite(fit.loglik)
         assert any(l.startswith("atanh_corr(") for l in fit.labels)

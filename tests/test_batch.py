@@ -118,7 +118,9 @@ MODELS = {
                         lambda: sim_weibull(300, lam=0.1, gamma=1.2, beta=0.5, seed=3, cens_rate=0.1),
                         [0.5, np.log(0.1), 0.1],
                         lambda P: P.__setitem__((slice(0, 3, 2), 2), 0.0)),
-    # atanh_corr 30 in one point: tanh is exactly 1, so it is projected
+    # atanh_corr 30 in one point: tanh is exactly 1, a singular correlation
+    # matrix, whose factor has a zero diagonal entry (the id is from the
+    # projection into the positive-definite cone that such a point once took)
     "unstructured_projected": ("levels = id\ncovariance = unstructured\nip = 3\n"
                                "gaussian : y ~ x + M1[id]*1 + M2[id]:x*1\n",
                                _unstructured_data, None,

@@ -202,6 +202,36 @@ class TestPredict:
                     "--stat", "mu", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def predict_with(self, fit_text, surv_csv, tmp_path):
+        path = tmp_path / "edited.json"
+        path.write_bytes(fit_text if isinstance(fit_text, bytes) else fit_text.encode())
+        return run(["predict", "--fit", str(path), "--data", surv_csv, "--stat", "survival",
+                    "--times", "2", "--out", str(tmp_path / "x.csv")])
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: "{not json", "fit file is not JSON: Expecting property name"),
+        (lambda doc: b"\xff\xff{}", "fit file is not JSON: 'utf-8' codec can't decode"),
+        (lambda doc: "[]", "fit file is not a JSON object"),
+        (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "labels"}),
+         "fit file has no key 'labels'")], ids=["not_json", "not_text", "not_an_object", "no_labels"])
+    def test_malformed_fit_file_exits_2(self, fitted, surv_csv, tmp_path, capsys, edit,
+                                        message):
+        doc = json.loads(open(fitted).read())
+        assert self.predict_with(edit(doc), surv_csv, tmp_path) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, message", [
+        (2, "the fit has 2 labels and 2 estimates, its spec 3 parameters"),
+        (4, "the fit has 4 labels and 4 estimates, its spec 3 parameters")],
+        ids=["too_few", "too_many"])
+    def test_fit_of_another_spec_exits_2(self, fitted, surv_csv, tmp_path, capsys, n,
+                                         message):
+        doc = json.loads(open(fitted).read())
+        doc["estimates"] = (doc["estimates"] + [0.0])[:n]
+        doc["labels"] = (doc["labels"] + ["z"])[:n]
+        assert self.predict_with(json.dumps(doc), surv_csv, tmp_path) == 2
+        assert message in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("flags, bad", [
     (["predict", "--stat", "survival", "--times", "2", "--at", "x=abc"], "'abc'"),

@@ -361,7 +361,8 @@ def all_rows(model, req):
     rows = base.ev.subs[req.predmodel - 1].rv.observed_rows
     t = np.broadcast_to(np.asarray(req.times, dtype=float), rows.shape).copy()
     draws, weights = prediction._draws_weights(base, req.type)
-    return prediction._stat_matrix(base, req, Frame(rows, t), draws) @ weights
+    return np.einsum("ij,j->i", prediction._stat_matrix(base, req, Frame(rows, t), draws),
+                     weights)
 
 
 def evaluated_rows(monkeypatch):
@@ -433,7 +434,7 @@ class TestDistinctRows:
                 assert np.array_equal(got["values"], all_rows(model, req)), (m, stat, at)
 
     def test_one_distinct_row_matches_all_rows(self, monkeypatch):
-        # a one-row product would be BLAS's dot, not the rows' matrix product
+        # one distinct row, weighted as each row of the oracle's frame
         model = make_model("joint_ev")
         seen = evaluated_rows(monkeypatch)
         for m, stat in ((1, "eta"), (2, "hazard"), (2, "chazard"), (2, "cif")):
@@ -483,6 +484,20 @@ class TestDistinctRows:
         assert np.array_equal(got, all_rows(model, req))
         assert got[0] != got[1]
 
+    @pytest.mark.parametrize("ip", [8, 35])
+    def test_a_row_s_value_does_not_depend_on_the_rows_beside_it(self, ip):
+        # BLAS's product of the rows and the node weights sums the last rows
+        # of a matrix in another order than the rest
+        spec = "levels = id\nweibull : Surv(t, d1) ~ x + M1[id]*1\n"
+        params = [0.4, np.log(0.05), np.log(1.2), np.log(0.5)]
+        full = static_data(n=302, seed=7)
+        keep = np.sort(np.random.default_rng(ip).choice(302, 123, replace=False))
+        part = make_dataset({k: v[keep] for k, v in full.columns.items()}, levels=("id",))
+        got = [predict_stat(model_at(spec, params, data, (("ghermite",), (ip,))),
+                            PredictRequest("hazard", type="marginal"))["values"]
+               for data in (full, part)]
+        assert np.array_equal(got[0][keep], got[1])
+
     def test_signed_zeros_stay_apart(self, monkeypatch):
         data = make_dataset({"t": np.arange(1.0, 7.0), "d1": np.ones(6), "d2": np.zeros(6),
                              "x": [0.0, -0.0] * 3})
@@ -490,6 +505,43 @@ class TestDistinctRows:
         seen = evaluated_rows(monkeypatch)
         predict(model, statistic="hazard", predmodel=1, times=np.asarray([2.0]))
         assert seen == [2]
+
+
+class TestFitMatchesSpec:
+    """A fit's labels and estimates must be its spec's parameters."""
+
+    def predict(self, spec, data, estimates, labels):
+        fit = FitResult(np.asarray(estimates, dtype=float), labels, None, 0.0, 0, True, spec,
+                        (), (), 0)
+        return predict_stat(FittedModel(fit, data), PredictRequest("hazard"))
+
+    FP_LABELS = ["x", "_cons", "log(gamma)", "x", "x:fp()", "_cons", "log(gamma)"]
+
+    @pytest.mark.parametrize("n, message", [
+        (6, "the fit has 6 labels and 6 estimates, its spec 7 parameters"),
+        (8, "the fit has 8 labels and 8 estimates, its spec 7 parameters")],
+        ids=["too_few", "too_many"])
+    def test_a_parameter_count_mismatch_raises(self, n, message):
+        with pytest.raises(EvalError, match=message):
+            self.predict(FP_SPEC, fp_data(), (FP_PARAMS + [0.0])[:n],
+                         (self.FP_LABELS + ["z"])[:n])
+
+    def test_a_label_mismatch_raises(self):
+        labels = self.FP_LABELS[:-1] + ["gamma"]
+        with pytest.raises(EvalError, match=r"parameter 7 is 'gamma', its spec's 'log\(gamma\)'"):
+            self.predict(FP_SPEC, fp_data(), FP_PARAMS, labels)
+
+    def test_a_marginal_correlation_fit_of_three_effects_raises(self):
+        # fits from before the partial-correlation factor label the third
+        # correlation atanh_corr(M3,M2)
+        spec = ("levels = id\ncovariance = unstructured\n"
+                "weibull : Surv(t, d1) ~ x + M1[id]*1 + M2[id]:x*1 + M3[id]:v*1\n")
+        data = static_data()
+        labels = ["x", "_cons", "log(gamma)", "log_sd(M1)", "log_sd(M2)", "log_sd(M3)",
+                  "atanh_corr(M2,M1)", "atanh_corr(M3,M1)", "atanh_corr(M3,M2)"]
+        with pytest.raises(EvalError, match=r"'atanh_corr\(M3,M2\)', its spec's "
+                                            r"'atanh_pcorr\(M3,M2\)'"):
+            self.predict(spec, data, np.zeros(9), labels)
 
 
 class TestTimes:

@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-import jointfit as jf
 from jointfit import quadrature
-from jointfit.estimation import LikelihoodEngine
-from jointfit.evaluator import Evaluator
 from jointfit.quadrature import (CovarianceParam, Frame, gauss_hermite,
                                  gauss_legendre, gh_product_rule, integrate_to,
                                  level_nodes, qmc_nodes, transform_nodes)
 
-from conftest import make_dataset
+from conftest import fit_spec, make_dataset
 from test_time_blocks import per_node_integrate_to
 
 
@@ -293,44 +290,63 @@ class TestCovariance:
                 rng.normal(size=d),
                 rng.normal(size=d * (d - 1) // 2),
             )
-            # the tanh correlation matrix, rows filled in parameter order
-            C = np.eye(d)
-            C[np.tril_indices(d, -1)] = np.tanh(cov.atanh_corr)
-            C = C + np.tril(C, -1).T
-            if np.linalg.eigvalsh(C)[0] < 0:
-                with pytest.warns(RuntimeWarning, match="not positive definite"):
-                    L = cov.cholesky()
-            else:
-                L = cov.cholesky()
+            L = cov.cholesky()
             S = L @ L.T
             assert np.all(np.linalg.eigvalsh(S) > 0)
 
-    def test_projection_warns_and_keeps_unit_diagonal(self):
-        # tanh(2) = 0.964 twice and tanh(-2) once: no such correlation matrix
-        cov = CovarianceParam("unstructured", np.zeros(3), np.asarray([2.0, 2.0, -2.0]))
-        with pytest.warns(RuntimeWarning,
-                          match=r"dimension 3 .*smallest eigenvalue -0\.9"):
-            L = cov.cholesky()
-        S = L @ L.T
-        assert np.all(np.linalg.eigvalsh(S) > 0)
-        assert np.allclose(np.diag(S), 1.0, rtol=0.0, atol=1e-9)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_every_parameter_gives_a_correlation_factor(self, d):
+        rng = np.random.default_rng(d)
+        k = d * (d - 1) // 2
+        extremes = np.resize([30.0, -30.0, 1e3, -1e3], k)
+        for theta in (*(rng.normal(scale=3.0, size=k) for _ in range(200)), extremes,
+                      np.where(rng.random(k) < 0.5, extremes, rng.normal(size=k))):
+            L = CovarianceParam("unstructured", np.zeros(d), theta).cholesky()
+            assert np.all(np.isfinite(L))
+            assert np.array_equal(L, np.tril(L))
+            C = L @ L.T
+            assert np.allclose(np.diag(C), 1.0, rtol=0.0, atol=1e-12)
+            assert np.linalg.eigvalsh(C)[0] > -1e-12
+            # pairs with the first effect are marginal correlations, in
+            # parameter order (row i, then j < i)
+            first = [i * (i - 1) // 2 for i in range(1, d)]
+            assert np.array_equal(C[1:, 0], np.tanh(theta[first]))
 
-    def test_engine_warns_once_per_fit(self):
-        rng = np.random.default_rng(2)
-        data = make_dataset({"id": np.repeat(np.arange(10.0), 3), "x": rng.normal(size=30),
-                             "y": rng.normal(size=30)}, levels=("id",))
-        spec = jf.validate_spec(jf.parse_spec_text(
-            "levels = id\ncovariance = unstructured\nip = 3\n"
-            "gaussian : y ~ x + M1[id]*1 + M2[id]:x*1\n"), data)
-        eng = LikelihoodEngine(Evaluator(spec, data))
-        p = jf.start_values(eng)
+    def test_two_effects_give_the_lapack_factor(self):
+        for theta in np.random.default_rng(4).uniform(-15.0, 15.0, 2000):
+            z = np.tanh(theta)
+            L = CovarianceParam("unstructured", np.zeros(2), np.asarray([theta])).cholesky()
+            assert np.array_equal(L, np.linalg.cholesky(np.asarray([[1.0, z], [z, 1.0]])))
+
+    def test_three_effect_recovery_fit(self):
+        """A fit whose search leaves the positive-definite cone under a
+        factor of marginal correlations: log L and the implied covariance
+        are those of that parametrization's fit (121 iterations, against
+        23 here)."""
+        rng = np.random.default_rng(3)
+        sd = np.asarray([0.8, 0.5, 0.4])
+        C = np.asarray([[1.0, 0.6, -0.5], [0.6, 1.0, 0.3], [-0.5, 0.3, 1.0]])
+        b = rng.multivariate_normal(np.zeros(3), sd[:, None] * C * sd[None, :], 150)
+        i = np.repeat(np.arange(150), 6)
+        x, z = rng.normal(size=i.size), rng.normal(size=i.size)
+        y = (1.0 + 0.5 * x - 0.3 * z + b[i, 0] + b[i, 1] * x + b[i, 2] * z
+             + rng.normal(0.0, 0.5, i.size))
+        data = make_dataset({"id": i * 1.0, "x": x, "z": z, "y": y}, levels=("id",))
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            for corr in (30.0, 40.0, 0.0, -30.0):  # tanh is exactly +-1 at +-30
-                p[eng.ev.layout.level_corr["id"]] = corr
-                eng.total_loglik(p)
-        assert [str(w.message)[:39] for w in seen] == ["correlation matrix of dimension 2 is no"]
-        assert LikelihoodEngine(Evaluator(spec, data)).projection_warned is False
+            fit = fit_spec("levels = id\ncovariance = unstructured\nip = 5\n"
+                           "gaussian : y ~ x + z + M1[id]*1 + M2[id]:x*1 + M3[id]:z*1\n",
+                           data, max_iter=400)
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+        assert fit.converged
+        assert fit.labels[-3:] == ["atanh_corr(M2,M1)", "atanh_corr(M3,M1)",
+                                   "atanh_pcorr(M3,M2)"]
+        assert abs(fit.loglik - (-1064.415065939)) < 1e-6
+        F = CovarianceParam("unstructured", fit.estimates[-6:-3], fit.estimates[-3:]).cholesky()
+        want = np.asarray([[0.4359096903, 0.1379739855, -0.1514161807],
+                           [0.1379739855, 0.2260649407, 0.0534807237],
+                           [-0.1514161807, 0.0534807237, 0.1643203212]])
+        assert np.max(np.abs(F @ F.T - want)) < 1e-4
 
     def test_mc_sample_covariance_converges(self):
         cov = CovarianceParam("unstructured",

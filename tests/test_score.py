@@ -190,7 +190,7 @@ def test_score_reuses_the_one_point_evaluation(monkeypatch, name):
     ("rp", [False]),
     ("user", [False]),
     ("bhazard", [False]),
-    ("unstructured_projected", [False]),  # atanh_corr reaches the rows
+    ("unstructured_projected", [False]),  # atanh_corr has no closed-form row score
     ("iev", [True, False]),            # an iEV[y] hazard stays differenced
 ])
 def test_closed_form_row_scores(monkeypatch, name, analytic):
